@@ -14,8 +14,8 @@ open-loop queue deep enough that requests genuinely wait:
   (the structural gap is far larger: a high-priority request waits for
   at most the in-flight batch, a low one for the whole queue ahead).
 * **queue-depth autoscaling** — the same pressure with autoscaling
-  enabled must grow the tenant past one lane (scale-up events
-  recorded, extra lanes observed) and still return bitwise-correct
+  enabled must grow the tenant past one lane (a scale-up event
+  recording the second live lane) and still return bitwise-correct
   results for every request.
 """
 
@@ -174,20 +174,19 @@ def test_autoscaler_engages_under_queue_pressure(cluster_workload):
         ),
         tenant_id="t",
     )
-    max_lanes_seen = 1
     with cluster:
         futures = [cluster.submit(q, tenant="t") for q in queries]
-        while any(not f.done() for f in futures):
-            max_lanes_seen = max(max_lanes_seen, cluster.tenant_lanes("t"))
-            time.sleep(0.001)
         values = np.vstack([f.result(timeout=120)[0] for f in futures])
         indices = np.vstack([f.result(timeout=120)[1] for f in futures])
-        max_lanes_seen = max(max_lanes_seen, cluster.tenant_lanes("t"))
-        events = [e["action"] for e in cluster.autoscale_events]
-    print(
-        f"autoscaler: peak lanes {max_lanes_seen}, events {events}"
+        events = list(cluster.autoscale_events)
+    # The event log, not a sampled lane count: a scaled lane can
+    # attach, serve and retire between two samples.  A scale-up event
+    # is appended only after its lane is attached to the engine.
+    print(f"autoscaler: events {events}")
+    scale_ups = [e for e in events if e["action"] == "scale-up"]
+    assert scale_ups, "queue pressure never triggered scale-up"
+    assert max(e["lanes"] for e in scale_ups) >= 2, (
+        "no scale-up ever recorded a second live lane"
     )
-    assert "scale-up" in events, "queue pressure never triggered scale-up"
-    assert max_lanes_seen >= 2, "no extra lane was ever observed live"
     np.testing.assert_array_equal(values, expected_v)
     np.testing.assert_array_equal(indices, expected_i)

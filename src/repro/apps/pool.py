@@ -5,9 +5,10 @@ The runtime-library face of multi-tenant bank placement
 matrices, open the pool once, and query any tenant — all stores share
 one machine fleet instead of each monopolizing its own.  Under the hood
 every tenant becomes the paper's Fig. 4a dot-similarity kernel, compiled
-through :meth:`repro.compiler.C4CAMCompiler.compile_many`, so results
-are bitwise identical to compiling each store alone and accounting is
-per-tenant (each store charged for only its banks).
+through :meth:`repro.compiler.C4CAMCompiler.compile_many` into one
+:class:`~repro.runtime.cluster.Cluster`, so results are bitwise
+identical to compiling each store alone and accounting is per-tenant
+(each store charged for only its banks).
 """
 
 from __future__ import annotations
@@ -45,16 +46,18 @@ class TenantPool:
         pool = TenantPool(spec)
         pool.add("faces", face_prototypes, k=1)
         pool.add("spam", spam_signatures, k=3)
-        pool.open()                       # place + program everything
+        cluster = pool.open()             # place + program everything
         values, indices = pool.run("faces", queries)
         print(pool.report("faces").summary())   # that tenant's banks only
         print(pool.report().summary())          # the whole fleet, once
+        future = cluster.submit(query, tenant="spam")   # async path
 
     ``max_machines`` caps the fleet (over-packing raises
-    :class:`~repro.runtime.placement.PlacementError` naming the tenant);
-    ``num_replicas`` replicates the whole fleet for throughput; and
-    :meth:`serve` opens the tenant-aware async engine
-    (``submit(query, tenant=name)``).
+    :class:`~repro.runtime.placement.PlacementError` naming the tenant)
+    and ``num_replicas`` gives every tenant that many serving lanes.
+    :meth:`open` returns the :class:`~repro.runtime.cluster.Cluster`:
+    its ``describe()`` maps the placement and its
+    ``submit(query, tenant=name)`` is the tenant-aware async path.
     """
 
     def __init__(
@@ -73,7 +76,7 @@ class TenantPool:
         self.noise_sigma = noise_sigma
         self.noise_seed = noise_seed
         self._stores: Dict[str, tuple] = {}
-        self._kernel = None
+        self._cluster = None
 
     # ------------------------------------------------------------- tenants
     @property
@@ -86,7 +89,7 @@ class TenantPool:
 
     @property
     def is_open(self) -> bool:
-        return self._kernel is not None
+        return self._cluster is not None
 
     def add(
         self,
@@ -97,7 +100,7 @@ class TenantPool:
     ) -> "TenantPool":
         """Register one tenant: a ``P×D`` store answering top-``k``
         dot-similarity queries.  Returns ``self`` for chaining."""
-        if self._kernel is not None:
+        if self._cluster is not None:
             raise RuntimeError(
                 "the pool is already open; reset() before adding tenants"
             )
@@ -113,75 +116,76 @@ class TenantPool:
         return self
 
     # ------------------------------------------------------------ lifecycle
-    def open(self):
+    def open(self, **cluster_kwargs):
         """Compile, place and program every tenant; idempotent.
 
-        Returns the underlying
-        :class:`~repro.compiler.MultiTenantKernel`.
+        Returns the underlying :class:`~repro.runtime.cluster.Cluster`.
+        Keyword arguments (``max_batch``, ``max_wait``, ``time_scale``,
+        …) configure it on the opening call; reconfiguring an open pool
+        raises — :meth:`reset` first.
         """
-        if self._kernel is None:
-            if not self._stores:
-                raise RuntimeError("the pool has no tenants; add() some")
-            from repro.compiler import C4CAMCompiler
-            from repro.frontend import placeholder
+        if self._cluster is not None:
+            if cluster_kwargs:
+                raise RuntimeError(
+                    "the pool is already open; reset() before "
+                    "reconfiguring it"
+                )
+            return self._cluster
+        if not self._stores:
+            raise RuntimeError("the pool has no tenants; add() some")
+        from repro.compiler import C4CAMCompiler
+        from repro.frontend import placeholder
 
-            compiler = C4CAMCompiler(self.spec, self.tech)
-            self._kernel = compiler.compile_many(
-                [
-                    _dot_similarity_model(stored, k, largest)
-                    for stored, k, largest in self._stores.values()
-                ],
-                [
-                    [placeholder((1, stored.shape[1]))]
-                    for stored, _k, _largest in self._stores.values()
-                ],
-                tenant_ids=list(self._stores),
-                noise_sigma=self.noise_sigma,
-                noise_seed=self.noise_seed,
-                max_machines=self.max_machines,
-                num_replicas=self.num_replicas,
-            )
-        return self._kernel
+        compiler = C4CAMCompiler(self.spec, self.tech)
+        self._cluster = compiler.compile_many(
+            [
+                _dot_similarity_model(stored, k, largest)
+                for stored, k, largest in self._stores.values()
+            ],
+            [
+                [placeholder((1, stored.shape[1]))]
+                for stored, _k, _largest in self._stores.values()
+            ],
+            tenant_ids=list(self._stores),
+            max_machines=self.max_machines,
+            num_replicas=self.num_replicas,
+            noise_sigma=self.noise_sigma,
+            noise_seed=self.noise_seed,
+            **cluster_kwargs,
+        )
+        return self._cluster
 
     def reset(self) -> None:
-        """Close the pool; the next :meth:`open` re-places and
-        re-programs (tenants may be added again before that)."""
-        self._kernel = None
-
-    @property
-    def placement(self):
-        """The bank-granular placement plan (opens the pool)."""
-        return self.open().placement
+        """Close the pool: shut its cluster down (pending requests fail
+        with :class:`~repro.runtime.backend.ClusterShutdown`); the next
+        :meth:`open` re-places and re-programs (tenants may be added
+        again before that)."""
+        cluster, self._cluster = self._cluster, None
+        if cluster is not None:
+            cluster.shutdown(abort=True)
 
     # ------------------------------------------------------------- queries
     def run(self, tenant_id: str, queries: np.ndarray) -> List[np.ndarray]:
         """Answer a ``B×D`` batch for ``tenant_id``; returns
         ``[values, indices]`` — bitwise identical to the store compiled
         alone on a private machine."""
-        return self.open().run_batch(tenant_id, queries)
+        return self.open().run_batch(queries, tenant=tenant_id)
 
     def report(self, tenant_id: Optional[str] = None) -> ExecutionReport:
         """One tenant's accumulated lane, or the whole fleet's report."""
-        return self.open().report(tenant_id)
-
-    def serve(
-        self,
-        max_batch: int = 32,
-        max_wait: float = 0.002,
-        time_scale: float = 0.0,
-    ):
-        """The tenant-aware async engine over the shared fleet
-        (``submit(queries, tenant=...)``)."""
-        return self.open().serve(
-            max_batch=max_batch, max_wait=max_wait, time_scale=time_scale
-        )
+        cluster = self.open()
+        if tenant_id is not None:
+            return cluster.tenant_report(tenant_id)
+        return cluster.report()
 
     def cluster(self, **cluster_kwargs):
-        """A live :class:`~repro.runtime.cluster.Cluster` over the
-        registered stores — the *dynamic* counterpart of :meth:`open`.
+        """A caller-owned :class:`~repro.runtime.cluster.Cluster` over
+        the registered stores, outside the pool's lifecycle.
 
         Every registered store is compiled and admitted as its own
-        tenant; the returned cluster then supports runtime
+        tenant in registration order (a store too large for one
+        machine shards instead of being refused, unlike :meth:`open`);
+        the returned cluster then supports runtime
         ``admit``/``evict`` (with defragmenting re-placement),
         ``submit(queries, tenant=name, priority=, deadline=)`` and
         queue-depth autoscaling.  Keyword arguments configure the

@@ -179,9 +179,9 @@ def run_tenants_demo(args, spec: ArchSpec) -> int:
     Tenant ``i`` stores ``patterns + i*patterns//2`` rows (so demands
     differ and the first-fit-decreasing packing is visible), all at
     ``--dims`` features.  Serves ``--batch`` (default ``--queries``)
-    queries per tenant — through the tenant-aware async engine with
-    ``--serve``, synchronously otherwise — then prints each tenant's
-    own accounting and the fleet report.
+    queries per tenant — through the cluster's tenant-aware async path
+    with ``--serve``, synchronously otherwise — then prints each
+    tenant's own accounting and the fleet report.
     """
     from repro.apps import TenantPool
 
@@ -193,13 +193,13 @@ def run_tenants_demo(args, spec: ArchSpec) -> int:
             np.float32
         )
         pool.add(f"tenant{i}", stored, k=1)
+    n_queries = args.batch or args.queries
     try:
-        pool.open()
+        cluster = pool.open(max_batch=max(1, n_queries // 2))
     except (CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(f"placed {pool.placement.describe()}")
-    n_queries = args.batch or args.queries
+    print(f"placed {cluster.describe()}")
     workloads = {
         tid: rng.choice([-1.0, 1.0], (n_queries, args.dims)).astype(
             np.float32
@@ -207,16 +207,15 @@ def run_tenants_demo(args, spec: ArchSpec) -> int:
         for tid in pool.tenant_ids
     }
     if args.serve:
-        with pool.serve(max_batch=max(1, n_queries // 2)) as engine:
-            futures = {
-                tid: [engine.submit(q, tenant=tid) for q in queries]
-                for tid, queries in workloads.items()
-            }
-            results = {
-                tid: np.vstack([f.result()[1] for f in fs])
-                for tid, fs in futures.items()
-            }
-        stats = engine.stats()
+        futures = {
+            tid: [cluster.submit(q, tenant=tid) for q in queries]
+            for tid, queries in workloads.items()
+        }
+        results = {
+            tid: np.vstack([f.result()[1] for f in fs])
+            for tid, fs in futures.items()
+        }
+        stats = cluster.stats()
         print(
             f"served {stats['requests_submitted']} requests in "
             f"{stats['batches_dispatched']} micro-batches "
@@ -241,14 +240,14 @@ def run_tenants_demo(args, spec: ArchSpec) -> int:
     # query-only split.
     print(
         f"fleet: {fleet.queries} queries across {fleet.banks_used} "
-        f"bank(s) on {pool.open().num_machines} machine(s) x "
-        f"{args.replicas or 1} replica(s), {fleet.energy.total:.2f} pJ "
-        f"total"
+        f"bank(s) on {cluster.num_machines} machine(s), "
+        f"{fleet.energy.total:.2f} pJ total"
     )
     if args.stats:
-        print(format_report(fleet, pool.open().session().machine))
+        print(format_report(fleet, cluster))
     else:
         print(fleet.summary())
+    pool.reset()
     return 0
 
 

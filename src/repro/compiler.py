@@ -79,13 +79,7 @@ from repro.ir.value import BlockArgument
 from repro.passes.pass_manager import PassManager
 from repro.runtime.cluster import Cluster
 from repro.runtime.executor import Interpreter
-from repro.runtime.placement import (
-    MultiTenantSession,
-    PlacementPlan,
-    TenantProgram,
-    plan_placement,
-    tenant_demand,
-)
+from repro.runtime.placement import TenantProgram, plan_placement, tenant_demand
 from repro.runtime.serving import ReplicatedSession, ServingEngine
 from repro.runtime.session import QueryProgram, QuerySession, SessionError
 from repro.runtime.sharding import (
@@ -499,137 +493,6 @@ class CompiledKernel:
         return print_module(self.module)
 
 
-class MultiTenantKernel:
-    """K compiled kernels co-resident on one shared machine fleet.
-
-    Built by :meth:`C4CAMCompiler.compile_many`: each tenant is an
-    independently compiled similarity kernel; the placement
-    (:class:`~repro.runtime.placement.PlacementPlan`, computed at
-    compile time) packs their bank demands onto shared machines with
-    first-fit-decreasing.  The first execution opens a cached
-    :class:`~repro.runtime.placement.MultiTenantSession` that programs
-    every tenant once; ``run_batch(tenant_id, Q)`` then serves any
-    tenant with results bitwise identical to that tenant compiled and
-    served alone.  ``num_replicas > 1`` replicates the *whole fleet*
-    for throughput, and :meth:`serve` opens the async micro-batching
-    engine with tenant-aware ``submit(queries, tenant=...)``.
-    """
-
-    def __init__(
-        self,
-        tenants: Sequence[TenantProgram],
-        spec: ArchSpec,
-        tech: TechnologyModel,
-        placement: PlacementPlan,
-        noise_sigma: float = 0.0,
-        noise_seed: int = 0,
-        max_machines: Optional[int] = None,
-        num_replicas: int = 1,
-        fused: bool = True,
-    ):
-        self.tenants = list(tenants)
-        self.spec = spec
-        self.tech = tech
-        self.placement = placement
-        self.noise_sigma = noise_sigma
-        self.noise_seed = noise_seed
-        self.max_machines = max_machines
-        self.num_replicas = num_replicas
-        self.fused = bool(fused)
-        self.last_report: Optional[ExecutionReport] = None
-        self._session = None
-        self._noise_seq = np.random.SeedSequence(noise_seed)
-
-    @property
-    def tenant_ids(self) -> List[str]:
-        return [tenant.tenant_id for tenant in self.tenants]
-
-    @property
-    def num_tenants(self) -> int:
-        return len(self.tenants)
-
-    @property
-    def num_machines(self) -> int:
-        """Fleet machines per replica (from the placement plan)."""
-        return self.placement.num_machines
-
-    def session(self):
-        """The cached multi-tenant session (replicated when asked),
-        opened — all tenants placed and programmed — lazily."""
-        if self._session is None:
-            base = MultiTenantSession(
-                self.tenants,
-                self.spec,
-                self.tech,
-                max_machines=self.max_machines,
-                placement=self.placement,
-                noise_sigma=self.noise_sigma,
-                noise_seed=self._noise_seq.spawn(1)[0],
-                fused=self.fused,
-            )
-            if self.num_replicas > 1:
-                base = ReplicatedSession(base, self.num_replicas)
-            self._session = base
-        return self._session
-
-    def reset(self) -> None:
-        """Evict and re-place: the next call re-programs fresh machines
-        (and restarts the noise sequence)."""
-        self._session = None
-        self.last_report = None
-        self._noise_seq = np.random.SeedSequence(self.noise_seed)
-
-    def run_batch(
-        self, tenant_id: str, queries: np.ndarray
-    ) -> List[np.ndarray]:
-        """Serve a ``B×D`` batch for ``tenant_id`` on the shared fleet.
-
-        Bitwise identical (noise disabled) to the tenant compiled alone
-        via :meth:`C4CAMCompiler.compile` and run on a private machine.
-        """
-        session = self.session()
-        if isinstance(session, ReplicatedSession):
-            outputs = session.run_batch(queries, tenant=tenant_id)
-        else:
-            outputs = session.run_batch(tenant_id, queries)
-        self.last_report = session.last_report
-        return outputs
-
-    def report(self, tenant_id: Optional[str] = None) -> ExecutionReport:
-        """Accumulated accounting: one tenant's lane, or the fleet.
-
-        Per-tenant reports charge only that tenant's banks (dynamic
-        energy by attribution, standby scoped to its slice); the fleet
-        report counts the shared fabric once and sums the tenants —
-        tenant energies add up exactly to the fleet energy.
-        """
-        session = self.session()
-        if tenant_id is not None:
-            return session.tenant_report(tenant_id)
-        return session.report()
-
-    def serve(
-        self,
-        max_batch: int = 32,
-        max_wait: float = 0.002,
-        time_scale: float = 0.0,
-    ) -> ServingEngine:
-        """The async front door over the multi-tenant fleet.
-
-        ``submit(queries, tenant=...)`` names the kernel each request
-        belongs to; the dispatcher coalesces only same-tenant requests
-        into micro-batches, so one engine multiplexes every colocated
-        kernel.  Futures resolve bitwise identically to
-        :meth:`run_batch` on the same rows.
-        """
-        return ServingEngine(
-            self.session(),
-            max_batch=max_batch,
-            max_wait=max_wait,
-            time_scale=time_scale,
-        )
-
-
 class C4CAMCompiler:
     """The user-facing compiler: trace, lower, and execute on a CAM."""
 
@@ -789,12 +652,10 @@ class C4CAMCompiler:
         models: Sequence[Callable],
         example_inputs: Sequence[Sequence[Tensor]],
         tenant_ids: Optional[Sequence[str]] = None,
-        noise_sigma: float = 0.0,
-        noise_seed: int = 0,
         max_machines: Optional[int] = None,
         num_replicas: int = 1,
-        fused: bool = True,
-    ) -> MultiTenantKernel:
+        **cluster_kwargs,
+    ) -> Cluster:
         """Compile several kernels for co-residency on one machine fleet.
 
         Each model is lowered independently (same pipeline as
@@ -808,11 +669,17 @@ class C4CAMCompiler:
         demand) — over-packing raises
         :class:`~repro.runtime.placement.PlacementError` (a
         :class:`~repro.transforms.partitioning.CapacityError`) at
-        *compile time*, naming the tenant and its bank demand.
+        *compile time*, naming the tenant and its bank demand, and a
+        tenant too large for one machine is refused rather than sharded.
 
-        ``num_replicas`` replicates the whole multi-tenant fleet for
-        throughput; combine with :meth:`MultiTenantKernel.serve` for
-        tenant-aware async serving.
+        Returns a :class:`~repro.runtime.cluster.Cluster` that admitted
+        the tenants in the plan's programming order — first fit over
+        that order lands every tenant on its planned bank span, so
+        ``tenant_ids`` lists the tenants in programming order, not
+        submission order.  ``num_replicas`` gives every tenant that
+        many serving lanes (``admit(lanes=)``); the remaining keyword
+        arguments (``fused``, ``noise_sigma``, ``max_batch``, …)
+        configure the cluster as in :meth:`compile_cluster`.
         """
         if len(models) != len(example_inputs):
             raise ValueError(
@@ -858,7 +725,7 @@ class C4CAMCompiler:
             max_machines,
         )
         # Stage 2: lower each placeable tenant to cam.
-        tenants = []
+        tenants = {}
         for tenant_id, module, params, _plan in staged:
             cam = CimToCamPass(self.spec, config)
             PassManager([cam]).run(module)
@@ -867,25 +734,22 @@ class C4CAMCompiler:
                     f"tenant {tenant_id!r} lowered to {len(cam.programs)} "
                     "similarity programs; expected exactly one"
                 )
-            tenants.append(
-                TenantProgram(
-                    tenant_id=tenant_id,
-                    module=module,
-                    parameters=list(params),
-                    program=cam.programs[0],
-                )
+            tenants[tenant_id] = TenantProgram(
+                tenant_id=tenant_id,
+                module=module,
+                parameters=list(params),
+                program=cam.programs[0],
             )
-        return MultiTenantKernel(
-            tenants,
-            self.spec,
-            self.tech,
-            placement,
-            noise_sigma=noise_sigma,
-            noise_seed=noise_seed,
-            max_machines=max_machines,
-            num_replicas=num_replicas,
-            fused=fused,
+        cluster = Cluster(
+            self.spec, self.tech, max_machines=max_machines, **cluster_kwargs
         )
+        for assignment in placement.assignments:
+            cluster.admit(
+                tenants[assignment.tenant_id],
+                tenant_id=assignment.tenant_id,
+                lanes=num_replicas,
+            )
+        return cluster
 
     def compile_cluster(
         self,
@@ -899,12 +763,11 @@ class C4CAMCompiler:
         """Compile several kernels and admit them into a live
         :class:`~repro.runtime.cluster.Cluster` control plane.
 
-        Unlike :meth:`compile_many` (a *static* co-resident fleet), the
-        returned cluster supports runtime ``admit``/``evict`` with
-        defragmenting re-placement, ``submit(..., priority=,
-        deadline=)`` dispatch and queue-depth autoscaling — and a
-        kernel too large for one machine joins as a sharded tenant
-        spanning machines.  Keyword arguments
+        Unlike :meth:`compile_many` (which plans the whole tenant set at
+        compile time and refuses a tenant too large for one machine),
+        each kernel is admitted in submission order, and a kernel too
+        large for one machine joins as a sharded tenant spanning
+        machines.  Keyword arguments
         (``max_machines``, ``autoscale_max_lanes``, ``time_scale``, …)
         configure the :class:`~repro.runtime.cluster.Cluster`.
         """

@@ -15,7 +15,6 @@ from .costmodel import (
 )
 from .executor import ExecutionError, Interpreter
 from .placement import (
-    MultiTenantSession,
     PlacementError,
     PlacementPlan,
     TenantAssignment,
@@ -46,7 +45,6 @@ __all__ = [
     "ExecutionError",
     "Interpreter",
     "LaneStats",
-    "MultiTenantSession",
     "PlacementCost",
     "PlacementError",
     "PlacementPlan",

@@ -1,12 +1,12 @@
 """The :class:`ExecutionBackend` protocol: one contract, every mode.
 
-PRs 1-4 grew four sibling execution layers — batched sessions
+The execution layers — batched sessions
 (:class:`~repro.runtime.session.QuerySession`), sharded capacity
 (:class:`~repro.runtime.sharding.ShardedSession`), replicated throughput
-(:class:`~repro.runtime.serving.ReplicatedSession`) and multi-tenant
-placement (:class:`~repro.runtime.placement.MultiTenantSession`) — each
-re-implementing width validation, setup accounting, lane bookkeeping and
-lifecycle hooks.  This module is the shared floor they now all stand on:
+(:class:`~repro.runtime.serving.ReplicatedSession`) and the multi-tenant
+fleet (:class:`~repro.runtime.cluster.Cluster`) — share width
+validation, setup accounting, lane bookkeeping and lifecycle hooks.
+This module is the shared floor they all stand on:
 
 * :class:`ExecutionBackend` — the protocol every execution mode
   implements.  ``run_batch(queries, tenant=None)`` is the one query
@@ -18,7 +18,7 @@ lifecycle hooks.  This module is the shared floor they now all stand on:
   control plane sizes placement decisions with, and ``setup_report()``
   the zero-query baseline a lane charges once.
 * :class:`LaneStats` — serialized per-lane traffic totals, shared by
-  replica lanes, tenant lanes and cluster lanes.
+  replica lanes and cluster lanes.
 * The serving error taxonomy: :class:`SessionError` (the module-level
   base every layer raises) and :class:`ClusterShutdown` (delivered to
   futures stranded by an evicted tenant or an aborting engine, so
@@ -174,9 +174,7 @@ class LaneStats:
     """Serialized totals of one backend's traffic (its "lane").
 
     The accumulation shape shared by replica lanes (one per copy in a
-    :class:`~repro.runtime.serving.ReplicatedSession`), tenant lanes
-    (one per tenant in a
-    :class:`~repro.runtime.placement.MultiTenantSession`) and cluster
+    :class:`~repro.runtime.serving.ReplicatedSession`) and cluster
     lanes (one per tenant replica in a
     :class:`~repro.runtime.cluster.Cluster`): query work folds in per
     batch, the one-time setup baseline is charged once via the

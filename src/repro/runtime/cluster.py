@@ -1,12 +1,14 @@
 """The :class:`Cluster` control plane: one fleet, a living tenant set.
 
-PR 4's :class:`~repro.runtime.placement.MultiTenantSession` packs a
-*static* tenant set onto shared machines at construction.  Real serving
-fleets are not static: kernels arrive, depart, burst and starve, and
-the ROADMAP's queued control-plane features — sharded tenants,
-priority/deadline dispatch, defragmenting re-placement, queue-depth
-autoscaling — all need one place to land.  This module is that place,
-composing the pieces the previous PRs built behind the
+The Cluster is the runtime's one multi-tenant engine.  A tenant set
+known up front (:meth:`~repro.compiler.C4CAMCompiler.compile_many`,
+:class:`~repro.apps.TenantPool`) is planned at compile time and admitted
+in the plan's programming order, so first fit reproduces the planned
+bank spans.  But serving fleets are not static: kernels arrive, depart,
+burst and starve, and sharded tenants, priority/deadline dispatch,
+defragmenting re-placement and queue-depth autoscaling all need one
+place to land.  This module is that place, composing the pieces the
+previous PRs built behind the
 :class:`~repro.runtime.backend.ExecutionBackend` protocol:
 
 * **dynamic lifecycle** — :meth:`Cluster.admit` programs a compiled
@@ -59,7 +61,7 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -846,26 +848,42 @@ class Cluster(ExecutionBackend, MachineGroupView):
                         record.backend, charge_setup=False
                     )
 
+    def _lane_groups(
+        self, lane_report: Callable[[_LaneRecord], ExecutionReport]
+    ) -> Tuple[List[ExecutionReport], List[ExecutionReport]]:
+        """``(per-machine reports, private lane reports)`` over the live
+        lanes: lanes sharing a shared machine combine serially (the
+        fabric serves one batch, and programs one tenant, at a time);
+        private lanes stand alone.  ``lane_report`` picks each lane's
+        report.  Caller holds ``_admit_lock``."""
+        by_machine: Dict[int, List[ExecutionReport]] = {}
+        privates: List[ExecutionReport] = []
+        for tid in self._admit_order:
+            for record in self._tenants[tid].lanes:
+                if record.machine_index is None:
+                    privates.append(lane_report(record))
+                else:
+                    by_machine.setdefault(record.machine_index, []).append(
+                        lane_report(record)
+                    )
+        machines = [
+            combine_serial_reports(group) for group in by_machine.values()
+        ]
+        return machines, privates
+
     def _epoch_report_unlocked(
         self, extra_reports: Optional[List[ExecutionReport]] = None
     ) -> Optional[ExecutionReport]:
         """The current epoch's fleet report; caller holds _stats_lock."""
-        by_machine: Dict[int, List[ExecutionReport]] = {}
-        privates: List[ExecutionReport] = list(extra_reports or [])
-        retired: List[ExecutionReport] = []
-        for tid in self._admit_order:
-            tenant = self._tenants[tid]
-            for record in tenant.lanes:
-                if record.machine_index is None:
-                    privates.append(record.stats.report())
-                else:
-                    by_machine.setdefault(record.machine_index, []).append(
-                        record.stats.report()
-                    )
-            retired.extend(tenant.retired_lanes)
-        parts = [
-            combine_serial_reports(group) for group in by_machine.values()
-        ] + privates + retired
+        machines, privates = self._lane_groups(
+            lambda record: record.stats.report()
+        )
+        retired = [
+            report
+            for tid in self._admit_order
+            for report in self._tenants[tid].retired_lanes
+        ]
+        parts = machines + list(extra_reports or []) + privates + retired
         if not parts:
             return None
         return merge_concurrent_reports(parts)
@@ -968,8 +986,6 @@ class Cluster(ExecutionBackend, MachineGroupView):
         so a synchronous batch can never race a scale-down into
         orphaned accounting; scaled lanes serve the async path only.
         """
-        if isinstance(queries, str):  # (tenant_id, queries) convenience
-            queries, tenant = tenant, queries
         tid = self._resolve_tenant(tenant)
         with self._admit_lock:
             record = self._require(tid).lanes[0]
@@ -1489,16 +1505,15 @@ class Cluster(ExecutionBackend, MachineGroupView):
         return combine_epoch_reports(epochs)
 
     def setup_report(self) -> ExecutionReport:
-        """Zero-query baseline of the current fleet (live lanes only)."""
+        """Zero-query baseline of the current fleet (live lanes only),
+        combined per machine exactly like :meth:`report`."""
         with self._admit_lock:
-            bases = [
-                record.backend.setup_report()
-                for tid in self._admit_order
-                for record in self._tenants[tid].lanes
-            ]
-        if not bases:
+            machines, privates = self._lane_groups(
+                lambda record: record.backend.setup_report()
+            )
+        if not machines and not privates:
             return ExecutionReport(queries=0, spec=self.spec)
-        return merge_concurrent_reports(bases)
+        return merge_concurrent_reports(machines + privates)
 
     # ------------------------------------------------------------ lifecycle
     def clone(self, noise_seed=None) -> "Cluster":

@@ -14,13 +14,15 @@ applications onto one shared runtime with honest per-app accounting:
   raises :class:`PlacementError` (a :class:`CapacityError`) naming the
   tenant and its bank demand, with a per-tenant breakdown — never a
   silent spill.
-* **shared programming** — :class:`MultiTenantSession` programs every
-  tenant onto the shared machines exactly once (each tenant's setup walk
-  allocates its own fresh banks, so tenants occupy disjoint fabric) and
-  serves per-tenant ``run_batch(tenant_id, Q)`` whose results are
-  **bitwise identical** to the tenant running alone on a private
-  machine: match-line scores are row-local and each tenant searches and
-  reads only its own subarray range.
+* **shared programming** — :class:`TenantProgram` carries one tenant's
+  compiled artifacts; the :class:`~repro.runtime.cluster.Cluster`
+  programs each tenant onto its planned banks of a shared machine
+  (each tenant's setup walk allocates its own fresh banks, so tenants
+  occupy disjoint fabric) and serves per-tenant
+  ``run_batch(Q, tenant=...)`` whose results are **bitwise
+  identical** to the tenant running alone on a private machine:
+  match-line scores are row-local and each tenant searches and reads
+  only its own subarray range.
 * **honest accounting** — per-tenant reports charge each tenant's own
   banks (dynamic energy by counter deltas, standby scoped to the
   tenant's slice); the fleet report combines tenants of one machine
@@ -29,41 +31,22 @@ applications onto one shared runtime with honest per-app accounting:
   counted once) and machines of the fleet concurrently
   (:func:`~repro.simulator.metrics.merge_concurrent_reports`).  Tenant
   energies therefore sum exactly to the fleet energy.
-
-``reset()`` evicts everything and re-places: fresh machines, every
-tenant re-programmed — the multi-tenant analogue of a kernel's
-session reset.  ``clone()`` replicates the whole fleet (same compiled
-artifacts and placement, new machines), which is what
-:class:`~repro.runtime.serving.ReplicatedSession` uses to scale a
-multi-tenant deployment for throughput.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.arch.spec import ArchSpec
-from repro.arch.technology import TechnologyModel
 from repro.ir.module import ModuleOp
-from repro.simulator.machine import CamMachine
-from repro.simulator.metrics import (
-    EnergyBreakdown,
-    ExecutionReport,
-    combine_serial_reports,
-    merge_concurrent_reports,
-)
 from repro.transforms.partitioning import CapacityError, PartitionPlan
 
-from .backend import ExecutionBackend, LaneStats, SessionError
-from .machineview import MachineGroupView
-from .session import QueryProgram, QuerySession
+from .session import QueryProgram
 
 __all__ = [
-    "MultiTenantSession",
     "PlacementError",
     "PlacementPlan",
     "TenantAssignment",
@@ -157,11 +140,6 @@ class TenantAssignment:
     bank_offset: int
     banks: int
 
-    @property
-    def bank_range(self) -> Tuple[int, int]:
-        """Half-open ``[first, last)`` bank interval on the machine."""
-        return (self.bank_offset, self.bank_offset + self.banks)
-
 
 @dataclass(frozen=True)
 class PlacementPlan:
@@ -194,22 +172,6 @@ class PlacementPlan:
     @property
     def tenant_ids(self) -> List[str]:
         return [assignment.tenant_id for assignment in self.assignments]
-
-    def describe(self) -> str:
-        """A human-readable placement map (one line per machine)."""
-        cap = (
-            "unbounded" if self.banks_per_machine is None
-            else f"{self.banks_per_machine} banks"
-        )
-        lines = [f"{len(self.assignments)} tenant(s) on "
-                 f"{self.num_machines} machine(s) ({cap} each):"]
-        for index in range(self.num_machines):
-            spans = ", ".join(
-                f"{a.tenant_id!r} banks [{a.bank_range[0]},{a.bank_range[1]})"
-                for a in self.machine_tenants(index)
-            )
-            lines.append(f"  machine {index}: {spans}")
-        return "\n".join(lines)
 
 
 def plan_placement(
@@ -503,315 +465,3 @@ class TenantProgram:
     @property
     def plan(self) -> PartitionPlan:
         return self.program.plan
-
-
-# ---------------------------------------------------------------- session
-class MultiTenantSession(ExecutionBackend, MachineGroupView):
-    """K compiled kernels co-resident on one shared machine fleet.
-
-    Construction places the tenants (:func:`plan_placement`, unless an
-    explicit ``placement`` is given) and programs each one onto its
-    machine in bank-offset order — every tenant's setup walk allocates
-    its own banks, so the planned offsets are realized exactly and
-    tenants never share a bank.  ``run_batch(tenant_id, Q)`` then serves
-    any tenant against the live fleet; batches of tenants on *different*
-    machines may run concurrently (a per-machine lock serializes
-    same-machine tenants, like the hardware would).
-
-    The object doubles as the aggregate machine view over the fleet
-    (``banks_used``/``subarray(i)``/``chip_area_mm2`` span every
-    machine) so :func:`repro.simulator.analysis.utilization` and
-    ``format_report`` work unchanged, and it satisfies the replica
-    contract (``clone``/``last_report``/``reset``) so a
-    :class:`~repro.runtime.serving.ReplicatedSession` can scale the
-    whole multi-tenant deployment for throughput.
-    """
-
-    def __init__(
-        self,
-        tenants: Sequence[TenantProgram],
-        spec: ArchSpec,
-        tech: TechnologyModel,
-        max_machines: Optional[int] = None,
-        placement: Optional[PlacementPlan] = None,
-        noise_sigma: float = 0.0,
-        noise_seed=0,
-        fused: bool = True,
-    ):
-        if not tenants:
-            raise SessionError("a multi-tenant session needs >= 1 tenant")
-        self.fused = bool(fused)
-        self.tenants: Dict[str, TenantProgram] = {}
-        for tenant in tenants:
-            if tenant.tenant_id in self.tenants:
-                raise SessionError(
-                    f"duplicate tenant id {tenant.tenant_id!r}"
-                )
-            self.tenants[tenant.tenant_id] = tenant
-        self._tenant_order = [t.tenant_id for t in tenants]
-        self.spec = spec
-        self.tech = tech
-        self.max_machines = max_machines
-        self.noise_sigma = float(noise_sigma)
-        self._noise_seq = (
-            noise_seed
-            if isinstance(noise_seed, np.random.SeedSequence)
-            else np.random.SeedSequence(noise_seed)
-        )
-        self.placement = placement or plan_placement(
-            [
-                tenant_demand(t.tenant_id, t.plan, spec)
-                for t in tenants
-            ],
-            spec,
-            max_machines,
-        )
-        missing = set(self.tenants) - set(self.placement.tenant_ids)
-        if missing or len(self.placement.assignments) != len(self.tenants):
-            raise SessionError(
-                "placement does not cover exactly the tenant set "
-                f"(unplaced: {sorted(missing)})"
-            )
-        self._stats_lock = threading.Lock()
-        self.last_report: Optional[ExecutionReport] = None
-        self.batches_run = 0
-        self._build()
-
-    # ------------------------------------------------------------ lifecycle
-    def _build(self) -> None:
-        """Allocate the fleet and program every tenant onto it."""
-        children = self._noise_seq.spawn(self.placement.num_machines)
-        self.machines = [
-            CamMachine(
-                self.spec, self.tech, noise_sigma=self.noise_sigma,
-                noise_seed=child,
-            )
-            for child in children
-        ]
-        self._machine_locks = [threading.Lock() for _ in self.machines]
-        self.sessions: List[QuerySession] = []
-        self._tenant_sessions: Dict[str, QuerySession] = {}
-        # Per-tenant accumulated traffic, in the same lane shape the
-        # serving layer keeps per replica (setup charged once via the
-        # session's tenant-scoped baseline).
-        self._lanes: Dict[str, LaneStats] = {}
-        for assignment in self.placement.assignments:
-            tenant = self.tenants[assignment.tenant_id]
-            machine = self.machines[assignment.machine_index]
-            if machine.banks_used != assignment.bank_offset:
-                raise SessionError(
-                    f"placement drift: tenant {tenant.tenant_id!r} "
-                    f"planned at bank {assignment.bank_offset} but the "
-                    f"machine holds {machine.banks_used} banks"
-                )
-            session = QuerySession(
-                tenant.module,
-                self.spec,
-                self.tech,
-                tenant.parameters,
-                tenant.program,
-                func_name=tenant.func_name,
-                noise_sigma=self.noise_sigma,
-                noise_seed=self._noise_seq.spawn(1)[0],
-                machine=machine,
-                fused=self.fused,
-            )
-            if session.banks_used != assignment.banks:
-                raise SessionError(
-                    f"placement drift: tenant {tenant.tenant_id!r} "
-                    f"allocated {session.banks_used} bank(s), planned "
-                    f"{assignment.banks}"
-                )
-            self.sessions.append(session)
-            self._tenant_sessions[tenant.tenant_id] = session
-            self._lanes[tenant.tenant_id] = LaneStats(session)
-
-    def reset(self) -> None:
-        """Evict and re-place: fresh machines, every tenant re-programmed.
-
-        The multi-tenant analogue of a kernel's session reset — the next
-        batch of any tenant hits a newly programmed fleet, and all
-        accumulated per-tenant accounting starts over.  Safe against
-        concurrent :meth:`run_batch`: every machine lock is held for the
-        rebuild, so in-flight batches drain first, and a batch that
-        loses the race returns correct results but is not accounted on
-        the fresh fleet.
-        """
-        locks = self._machine_locks
-        for lock in locks:
-            lock.acquire()
-        try:
-            with self._stats_lock:
-                self._build()
-                self.last_report = None
-                self.batches_run = 0
-        finally:
-            for lock in reversed(locks):
-                lock.release()
-
-    def clone(self, noise_seed=None) -> "MultiTenantSession":
-        """An independent replica of the whole multi-tenant fleet.
-
-        Reuses every tenant's compiled artifacts and the placement plan
-        untouched; only fresh machines are allocated and programmed —
-        what a second hardware copy of the deployment genuinely costs.
-        """
-        return MultiTenantSession(
-            [self.tenants[tid] for tid in self._tenant_order],
-            self.spec,
-            self.tech,
-            max_machines=self.max_machines,
-            placement=self.placement,
-            noise_sigma=self.noise_sigma,
-            noise_seed=(
-                self._noise_seq.spawn(1)[0] if noise_seed is None
-                else noise_seed
-            ),
-            fused=self.fused,
-        )
-
-    # ------------------------------------------------------------ topology
-    @property
-    def tenant_ids(self) -> List[str]:
-        return list(self._tenant_order)
-
-    @property
-    def num_tenants(self) -> int:
-        return len(self.tenants)
-
-    @property
-    def num_machines(self) -> int:
-        return len(self.machines)
-
-    @property
-    def tenant_features(self) -> Dict[str, int]:
-        """Query width each tenant serves (engines validate submits)."""
-        return {
-            tid: tenant.plan.features
-            for tid, tenant in self.tenants.items()
-        }
-
-    # ------------------------------------------------------- protocol bits
-    def tenant_widths(self) -> Dict[str, int]:
-        """Per-tenant query widths (multi-tenant backend discriminator)."""
-        return self.tenant_features
-
-    def query_width(self, tenant: Optional[str] = None) -> int:
-        """The feature dimension ``tenant``'s queries must have; a
-        multi-tenant backend needs the tenant named."""
-        if tenant is None:
-            raise SessionError(
-                "this backend serves a multi-tenant fleet; name the "
-                f"tenant (one of {sorted(self.tenants)})"
-            )
-        self.session_of(tenant)  # validate the id
-        return self.tenants[tenant].plan.features
-
-    def session_of(self, tenant_id: str) -> QuerySession:
-        """The live session serving ``tenant_id`` (KeyError-safe)."""
-        try:
-            return self._tenant_sessions[tenant_id]
-        except KeyError:
-            raise SessionError(
-                f"no tenant {tenant_id!r} on this fleet; tenants: "
-                f"{sorted(self.tenants)}"
-            ) from None
-
-    #: Aggregate machine view (:class:`MachineGroupView`): counters and
-    #: silicon span the whole fleet — the shared fabric, counted once.
-    _group_noun = "fleet"
-
-    # ------------------------------------------------------------- queries
-    def run_batch(self, queries, tenant: Optional[str] = None):
-        """Serve one ``B×D`` batch for one tenant on the shared fleet.
-
-        Protocol form: ``run_batch(queries, tenant="t0")``.  The legacy
-        positional form ``run_batch("t0", queries)`` keeps working (the
-        string-first argument disambiguates).  Returns
-        ``[values, indices]`` bitwise identical (noise disabled) to the
-        tenant's kernel running alone on a private machine.  The
-        tenant's machine is held for the duration (same-machine tenants
-        serialize, like the hardware); ``last_report`` carries this
-        batch's tenant-scoped report.
-        """
-        if isinstance(queries, str):  # legacy (tenant_id, queries) order
-            queries, tenant = tenant, queries
-        if tenant is None:
-            raise SessionError(
-                "a multi-tenant batch must name its tenant: "
-                "run_batch(queries, tenant=...)"
-            )
-        tenant_id = tenant
-        with self._stats_lock:
-            # Snapshot the generation: a reset() racing this batch swaps
-            # session/lock/lanes wholesale, and the stale batch must not
-            # pollute the fresh fleet's accounting.
-            session = self.session_of(tenant_id)
-            index = self.placement.for_tenant(tenant_id).machine_index
-            lock = self._machine_locks[index]
-            lanes = self._lanes
-        with lock:
-            outputs = session.run_batch(queries)
-            report = session.last_report
-        with self._stats_lock:
-            if self._lanes is lanes:
-                self._lanes[tenant_id].add(report)
-                self.last_report = report
-                self.batches_run += 1
-        return outputs
-
-    # -------------------------------------------------------------- report
-    def tenant_report(self, tenant_id: str) -> ExecutionReport:
-        """Accumulated per-tenant report: the tenant's queries, energy
-        and latency over *its own banks only*, setup charged once."""
-        self.session_of(tenant_id)  # validate the id
-        with self._stats_lock:
-            return self._lanes[tenant_id].report()
-
-    def machine_report(self, machine_index: int) -> ExecutionReport:
-        """One fleet machine's view: its tenants combined serially."""
-        assignments = self.placement.machine_tenants(machine_index)
-        if not assignments:
-            raise KeyError(f"no machine {machine_index} in the fleet")
-        with self._stats_lock:
-            lanes = [self._lanes[a.tenant_id].report() for a in assignments]
-        return combine_serial_reports(lanes)
-
-    def report(self) -> ExecutionReport:
-        """The fleet deployment report.
-
-        Tenants of one machine combine **serially** (the shared fabric
-        serves one batch at a time; its banks are counted once) and the
-        fleet's machines combine **concurrently** (wall time is the
-        busiest machine).  Per-tenant energies sum exactly to this
-        report's energy — bank-granular placement partitions the fabric,
-        so there is no shared residual term.
-        """
-        return merge_concurrent_reports(
-            [
-                self.machine_report(index)
-                for index in range(self.num_machines)
-            ]
-        )
-
-    def setup_report(self) -> ExecutionReport:
-        """A zero-query report of the fleet's programming cost and
-        silicon (the starting point of a replica lane)."""
-        write = sum(s.setup_energy_pj for s in self.sessions)
-        setup = max(
-            sum(
-                self._tenant_sessions[a.tenant_id].setup_latency_ns
-                for a in self.placement.machine_tenants(index)
-            )
-            for index in range(self.num_machines)
-        )
-        return ExecutionReport(
-            setup_latency_ns=setup,
-            energy=EnergyBreakdown(write=write),
-            banks_used=self.banks_used,
-            mats_used=self.mats_used,
-            arrays_used=self.arrays_used,
-            subarrays_used=self.subarrays_used,
-            queries=0,
-            spec=self.spec,
-        )

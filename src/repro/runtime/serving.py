@@ -189,8 +189,7 @@ class ReplicatedSession(ExecutionBackend, MachineGroupView):
         runs one worker per replica); a single replica must serve its
         batches serially, like the hardware it models.  ``tenant``
         routes the batch to that tenant's store when the replicas are
-        multi-tenant fleets
-        (:class:`~repro.runtime.placement.MultiTenantSession`).
+        multi-tenant backends (:class:`~repro.runtime.cluster.Cluster`).
         """
         replica = self.replicas[index]
         outputs = replica.run_batch(queries, tenant=tenant)
@@ -264,18 +263,6 @@ class ReplicatedSession(ExecutionBackend, MachineGroupView):
     def report(self) -> ExecutionReport:
         """The concurrent deployment report across all replica lanes."""
         return merge_concurrent_reports(self.lane_reports())
-
-    def tenant_report(self, tenant_id: str) -> ExecutionReport:
-        """One tenant's view across every replica of a multi-tenant
-        deployment: the tenant's traffic split over R fleets serves
-        concurrently, so its lanes merge like replica lanes."""
-        if not hasattr(self.replicas[0], "tenant_report"):
-            raise SessionError(
-                "the replicas are not multi-tenant sessions; use report()"
-            )
-        return merge_concurrent_reports(
-            [replica.tenant_report(tenant_id) for replica in self.replicas]
-        )
 
 
 # --------------------------------------------------------------- requests
@@ -661,10 +648,6 @@ def _probe_widths(backend):
     if callable(tenant_widths):
         tenants = tenant_widths()
         if tenants is not None:
-            return dict(tenants), None
-    else:
-        tenants = getattr(backend, "tenant_features", None)
-        if isinstance(tenants, dict):
             return dict(tenants), None
     query_width = getattr(backend, "query_width", None)
     if callable(query_width):

@@ -393,7 +393,7 @@ class QuerySession(ExecutionBackend):
         On a shared (multi-tenant) machine only this session's
         bookkeeping is dropped — the machine's counters belong to every
         colocated tenant and are managed by the owning
-        :class:`~repro.runtime.placement.MultiTenantSession`."""
+        :class:`~repro.runtime.cluster.Cluster`."""
         if self._owns_machine:
             self.machine.reset_query_state()
         self.last_report = None

@@ -280,8 +280,8 @@ def combine_serial_reports(
     allocation, counted once.  ``search_cycles`` stays a max (the
     busiest subarray anywhere).  All reports must come from the same
     :class:`~repro.arch.spec.ArchSpec` (``ValueError`` otherwise).  Used
-    by :class:`repro.runtime.placement.MultiTenantSession` for its
-    per-machine view; machines of a fleet then merge via
+    by :class:`repro.runtime.cluster.Cluster` for each shared machine's
+    view; machines of a fleet then merge via
     :func:`merge_concurrent_reports`.
     """
     if not reports:

@@ -152,7 +152,8 @@ class TestAutotune:
                     entry["banks"],
                 )
             rebuilt_out = {
-                tid: rebuilt.run_batch(tid, queries[tid]) for tid in models
+                tid: rebuilt.run_batch(queries[tid], tenant=tid)
+                for tid in models
             }
         finally:
             rebuilt.shutdown()
@@ -174,7 +175,7 @@ class TestAutotune:
             direct.apply_placement(result.plan["placement"])
             assert direct.bank_spans() == spans
             for tid in models:
-                value, index = direct.run_batch(tid, queries[tid])
+                value, index = direct.run_batch(queries[tid], tenant=tid)
                 np.testing.assert_array_equal(value, rebuilt_out[tid][0])
                 np.testing.assert_array_equal(index, rebuilt_out[tid][1])
         finally:

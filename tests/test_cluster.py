@@ -790,6 +790,31 @@ class TestLifecycle:
         setup = cluster.setup_report()
         assert setup.queries == 0 and setup.energy.write > 0
 
+    def test_fresh_setup_report_matches_report(self, dot_kernel, stores):
+        """Regression: setup_report() merged every lane concurrently, so
+        two tenants sharing a machine read half the programming latency
+        report() charges (the machine programs them one at a time)."""
+        spec = replace(dse_spec(16), banks=2)
+        cluster = Cluster(spec)
+        for tid, stored in zip(("a", "b", "c"), stores):
+            cluster.admit(
+                compile_dot(dot_kernel, stored, spec=spec), tenant_id=tid,
+                lanes=2 if tid == "c" else 1,
+            )
+        spans = cluster.bank_spans()
+        assert spans["a"][0] == spans["b"][0] != spans["c"][0]
+        setup, report = cluster.setup_report(), cluster.report()
+        for field in (
+            "setup_latency_ns", "rows_written", "banks_used", "mats_used",
+            "arrays_used", "subarrays_used",
+        ):
+            assert getattr(setup, field) == getattr(report, field), field
+        assert setup.energy.write == report.energy.write
+        shared = sum(
+            cluster.tenant_report(tid).setup_latency_ns for tid in ("a", "b")
+        )
+        assert setup.setup_latency_ns == shared
+
 
 # --------------------------------------------------------------------------
 # Entry points

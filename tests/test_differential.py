@@ -187,10 +187,11 @@ def test_tenant_isolation_differential(seed):
     """K colocated tenants vs. each compiled alone: bitwise-equal top-k
     per tenant, and per-tenant energy summing to the fleet report.
 
-    The colocated paths exercised are the synchronous shared-fleet
-    ``run_batch(tenant_id, Q)`` and the tenant-aware async engine with
-    randomized request chunking — neither may leak any influence of the
-    co-resident stores into a tenant's results.
+    The colocated paths exercised are the ``compile_many`` cluster's
+    synchronous ``run_batch(Q, tenant=tenant_id)`` and its tenant-aware
+    async ``submit`` with randomized request chunking and extra lanes —
+    neither may leak any influence of the co-resident stores into a
+    tenant's results.
     """
     rng = np.random.default_rng(441_000 + seed)
     spec = replace(dse_spec(int(rng.choice([16, 32]))), banks=2)
@@ -212,8 +213,9 @@ def test_tenant_isolation_differential(seed):
         [[placeholder((1, stored.shape[1]))] for stored, _q, _k in tenants],
         tenant_ids=ids,
     )
+    assert colocated.defrag_count == 0
     for tid, (_stored, queries, _k) in zip(ids, tenants):
-        values, indices = colocated.run_batch(tid, queries)
+        values, indices = colocated.run_batch(queries, tenant=tid)
         np.testing.assert_array_equal(
             indices, solo[tid][1],
             err_msg=f"colocated tenant {tid} indices diverge (seed {seed})",
@@ -229,36 +231,34 @@ def test_tenant_isolation_differential(seed):
     fleet = colocated.report()
     for key, value in fleet.energy.as_dict().items():
         tenant_sum = sum(
-            colocated.report(tid).energy.as_dict()[key] for tid in ids
+            colocated.tenant_report(tid).energy.as_dict()[key] for tid in ids
         )
         np.testing.assert_allclose(
             tenant_sum, value, rtol=1e-12, err_msg=f"energy[{key}]"
         )
     assert fleet.queries == sum(
-        colocated.report(tid).queries for tid in ids
+        colocated.tenant_report(tid).queries for tid in ids
     )
     assert fleet.banks_used == sum(
-        colocated.report(tid).banks_used for tid in ids
+        colocated.tenant_report(tid).banks_used for tid in ids
     )
 
     # Tenant-aware async serving with random chunking: same results.
-    served_kernel = compiler.compile_many(
+    with compiler.compile_many(
         [_dot_model(stored, k) for stored, _q, k in tenants],
         [[placeholder((1, stored.shape[1]))] for stored, _q, _k in tenants],
         tenant_ids=ids,
         num_replicas=int(rng.integers(1, 3)),
-    )
-    with served_kernel.serve(
         max_batch=int(rng.integers(1, 6)),
         max_wait=float(rng.choice([0.0, 0.001])),
-    ) as engine:
+    ) as served:
         futures = {}
         for tid, (_stored, queries, _k) in zip(ids, tenants):
             futures[tid], cursor = [], 0
             while cursor < len(queries):
                 take = min(int(rng.integers(1, 3)), len(queries) - cursor)
                 futures[tid].append(
-                    engine.submit(queries[cursor : cursor + take], tenant=tid)
+                    served.submit(queries[cursor : cursor + take], tenant=tid)
                 )
                 cursor += take
         for tid in ids:
@@ -519,11 +519,13 @@ def test_fused_matches_unfused_oracle_all_paths(seed):
         [_dot_model(stored, k)], [example], tenant_ids=["t0"],
         fused=False,
     )
-    rf = mf.run_batch("t0", queries)
-    ro = mo.run_batch("t0", queries)
+    rf = mf.run_batch(queries, tenant="t0")
+    ro = mo.run_batch(queries, tenant="t0")
     np.testing.assert_array_equal(rf[0], ro[0])
     np.testing.assert_array_equal(rf[1], ro[1])
-    assert mf.session().sessions[0].fused_runs == 1
+    assert _report_tuple(mf.last_report) == _report_tuple(mo.last_report)
+    assert mf.fused and not mo.fused
+    assert mf._tenants["t0"].lanes[0].backend.fused_runs == 1
 
 
 def test_fused_cluster_matches_unfused_oracle():
@@ -543,7 +545,7 @@ def test_fused_cluster_matches_unfused_oracle():
             fused=fused,
         )
         assert cluster.fused is fused
-        results[fused] = cluster.run_batch("t0", queries)
+        results[fused] = cluster.run_batch(queries, tenant="t0")
         cluster.shutdown()
     np.testing.assert_array_equal(results[True][0], results[False][0])
     np.testing.assert_array_equal(results[True][1], results[False][1])

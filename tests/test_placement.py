@@ -1,10 +1,10 @@
-"""Multi-tenant bank placement: allocator, shared sessions, accounting.
+"""Multi-tenant bank placement: allocator, shared fleets, accounting.
 
 Covers the placement planner (first-fit-decreasing packing, overflow
-diagnostics), the shared-machine session path (disjoint fabric, bitwise
-isolation, eviction/re-placement on reset), per-tenant vs. fleet
-accounting, replication/serving over a multi-tenant fleet, the
-``TenantPool`` app and the CLI ``--tenants`` demo.  The randomized
+diagnostics), the ``compile_many`` cluster (planned spans, disjoint
+fabric, bitwise isolation, re-placement on reset), per-tenant vs. fleet
+accounting, extra lanes and async serving over a multi-tenant fleet,
+the ``TenantPool`` app and the CLI ``--tenants`` demo.  The randomized
 bitwise-isolation guarantee itself lives in ``test_differential.py``.
 """
 
@@ -265,8 +265,13 @@ class TestCostPolicy:
             assert cost.num_machines <= ffd.num_machines
 
 
-# ------------------------------------------------- shared-machine sessions
-class TestMultiTenantSession:
+# ------------------------------------------------- shared-machine tenants
+def _tenant_session(cluster, tenant_id):
+    """The session serving a placed tenant's primary lane."""
+    return cluster._tenants[tenant_id].lanes[0].backend
+
+
+class TestColocatedTenants:
     @pytest.fixture()
     def fleet(self, rng):
         spec = replace(dse_spec(16), banks=2)
@@ -276,16 +281,19 @@ class TestMultiTenantSession:
             rng.choice([-1.0, 1.0], (8, 32)).astype(np.float32),
             rng.choice([-1.0, 1.0], (16, 128)).astype(np.float32),
         ]
-        kernel = _compile_tenants(
+        cluster = _compile_tenants(
             compiler, stores, ks=[2, 1, 3], tenant_ids=["a", "b", "c"]
         )
-        return compiler, stores, kernel
+        yield compiler, stores, cluster
+        cluster.shutdown()
 
     def test_tenants_occupy_disjoint_banks(self, fleet):
-        _compiler, _stores, kernel = fleet
-        session = kernel.session()
+        _compiler, _stores, cluster = fleet
+        sessions = [
+            _tenant_session(cluster, tid) for tid in cluster.tenant_ids
+        ]
         offsets = {}
-        for tenant_session in session.sessions:
+        for tenant_session in sessions:
             base = tenant_session.subarray_base
             span = tenant_session.subarrays_used
             machine = tenant_session.machine
@@ -294,12 +302,11 @@ class TestMultiTenantSession:
                 assert (key, lin) not in offsets
                 offsets[(key, lin)] = True
         # Fleet-wide counts equal the sum over tenants.
-        assert session.banks_used == sum(
-            s.banks_used for s in session.sessions
-        )
+        assert cluster.banks_used == sum(s.banks_used for s in sessions)
+        assert cluster.defrag_count == 0
 
     def test_interleaved_batches_stay_isolated(self, fleet, rng):
-        compiler, stores, kernel = fleet
+        compiler, stores, cluster = fleet
         batches = {
             tid: rng.choice([-1.0, 1.0], (3, s.shape[1])).astype(np.float32)
             for tid, s in zip(["a", "b", "c"], stores)
@@ -314,19 +321,19 @@ class TestMultiTenantSession:
         # must be unaffected by the other tenants' traffic in between.
         for _round in range(2):
             for tid in ("a", "c", "b"):
-                values, indices = kernel.run_batch(tid, batches[tid])
+                values, indices = cluster.run_batch(batches[tid], tenant=tid)
                 np.testing.assert_array_equal(values, solo[tid][0])
                 np.testing.assert_array_equal(indices, solo[tid][1])
 
     def test_per_tenant_report_matches_private_machine(self, fleet, rng):
-        compiler, stores, kernel = fleet
+        compiler, stores, cluster = fleet
         queries = rng.choice([-1.0, 1.0], (4, 64)).astype(np.float32)
-        kernel.run_batch("a", queries)
+        cluster.run_batch(queries, tenant="a")
         solo = compiler.compile(
             _dot_model(stores[0], 2), [placeholder((1, 64))]
         )
         solo.run_batch(queries)
-        colocated, private = kernel.last_report, solo.last_report
+        colocated, private = cluster.last_report, solo.last_report
         assert colocated.banks_used == private.banks_used
         assert colocated.subarrays_used == private.subarrays_used
         assert colocated.query_latency_ns == private.query_latency_ns
@@ -345,12 +352,12 @@ class TestMultiTenantSession:
         compiler = C4CAMCompiler(spec)
         small = rng.choice([-1.0, 1.0], (8, 32)).astype(np.float32)
         large = rng.choice([-1.0, 1.0], (200, 32)).astype(np.float32)
-        kernel = _compile_tenants(
+        cluster = _compile_tenants(
             compiler, [small, large], tenant_ids=["small", "large"]
         )
         queries = rng.choice([-1.0, 1.0], (3, 32)).astype(np.float32)
-        kernel.run_batch("small", queries)
-        colocated = kernel.last_report
+        cluster.run_batch(queries, tenant="small")
+        colocated = cluster.last_report
         solo = compiler.compile(_dot_model(small), [placeholder((1, 32))])
         solo.run_batch(queries)
         np.testing.assert_allclose(
@@ -364,58 +371,58 @@ class TestMultiTenantSession:
         )
 
     def test_reset_evicts_and_reprograms(self, fleet, rng):
-        _compiler, stores, kernel = fleet
+        _compiler, stores, cluster = fleet
         queries = rng.choice([-1.0, 1.0], (2, 32)).astype(np.float32)
-        first = kernel.run_batch("b", queries)
-        session = kernel.session()
-        machines_before = [id(m) for m in session.machines]
-        session.reset()
-        assert [id(m) for m in session.machines] != machines_before
-        assert session.batches_run == 0
-        again = kernel.run_batch("b", queries)
+        first = cluster.run_batch(queries, tenant="b")
+        machines_before = [id(m) for m in cluster.machines]
+        cluster.reset()
+        assert [id(m) for m in cluster.machines] != machines_before
+        assert cluster.batches_run == 0
+        again = cluster.run_batch(queries, tenant="b")
         np.testing.assert_array_equal(first[0], again[0])
         np.testing.assert_array_equal(first[1], again[1])
         # Accounting restarted: exactly one batch on the lane.
-        assert kernel.report("b").queries == 2
+        assert cluster.tenant_report("b").queries == 2
 
     def test_kernel_reset_restarts_placement(self, fleet, rng):
-        _compiler, _stores, kernel = fleet
+        """reset() re-places onto the planned spans (programming order
+        is the admission order) and restarts every tenant's accounting."""
+        _compiler, _stores, cluster = fleet
         queries = rng.choice([-1.0, 1.0], (2, 64)).astype(np.float32)
-        kernel.run_batch("a", queries)
-        old_session = kernel.session()
-        kernel.reset()
-        assert kernel.session() is not old_session
-        assert kernel.report("a").queries == 0
+        cluster.run_batch(queries, tenant="a")
+        spans = cluster.bank_spans()
+        cluster.reset()
+        assert cluster.bank_spans() == spans
+        assert cluster.defrag_count == 0
+        assert cluster.tenant_report("a").queries == 0
+        assert cluster.report().queries == 0
 
     def test_unknown_tenant_rejected(self, fleet):
-        _compiler, _stores, kernel = fleet
+        _compiler, _stores, cluster = fleet
         with pytest.raises(SessionError, match="no tenant 'zz'"):
-            kernel.run_batch("zz", np.zeros((1, 64)))
+            cluster.run_batch(np.zeros((1, 64)), tenant="zz")
 
     def test_fleet_latency_is_busiest_machine(self, fleet, rng):
-        _compiler, stores, kernel = fleet
+        _compiler, stores, cluster = fleet
         for tid, s in zip(["a", "b", "c"], stores):
-            kernel.run_batch(
-                tid,
+            cluster.run_batch(
                 rng.choice([-1.0, 1.0], (2, s.shape[1])).astype(np.float32),
+                tenant=tid,
             )
-        session = kernel.session()
-        per_machine = [
-            session.machine_report(i).query_latency_ns
-            for i in range(session.num_machines)
-        ]
-        assert kernel.report().query_latency_ns == max(per_machine)
-        # Same-machine tenants' latencies summed into that machine's view.
-        tenants_of_0 = session.placement.machine_tenants(0)
-        assert per_machine[0] == pytest.approx(
-            sum(
-                session.tenant_report(a.tenant_id).query_latency_ns
-                for a in tenants_of_0
+        # A machine's latency is its tenants' latencies summed (the
+        # fabric serves one batch at a time); the fleet's is the
+        # busiest machine's.
+        per_machine = {}
+        for tid, (machine, _offset, _banks) in cluster.bank_spans().items():
+            per_machine[machine] = (
+                per_machine.get(machine, 0.0)
+                + cluster.tenant_report(tid).query_latency_ns
             )
-        )
+        assert len(per_machine) == 2
+        assert cluster.report().query_latency_ns == max(per_machine.values())
 
 
-# ----------------------------------------------- replication over a fleet
+# ------------------------------------------------------ lanes over a fleet
 class TestReplicatedMultiTenant:
     def test_replicated_fleet_results_and_accounting(self, rng):
         spec = replace(dse_spec(16), banks=4)
@@ -424,22 +431,31 @@ class TestReplicatedMultiTenant:
             rng.choice([-1.0, 1.0], (10, 64)).astype(np.float32),
             rng.choice([-1.0, 1.0], (6, 64)).astype(np.float32),
         ]
-        kernel = _compile_tenants(
+        cluster = _compile_tenants(
             compiler, stores, tenant_ids=["x", "y"], num_replicas=2
         )
         solo = compiler.compile(_dot_model(stores[0]), [placeholder((1, 64))])
         queries = rng.choice([-1.0, 1.0], (3, 64)).astype(np.float32)
         expected = solo.run_batch(queries)
-        for _ in range(3):  # routed across replicas, same answers
-            got = kernel.run_batch("x", queries)
+        assert cluster.tenant_lanes("x") == cluster.tenant_lanes("y") == 2
+        for _ in range(3):  # synchronous batches: the primary lane
+            got = cluster.run_batch(queries, tenant="x")
             np.testing.assert_array_equal(got[0], expected[0])
             np.testing.assert_array_equal(got[1], expected[1])
-        # Silicon doubles with the replica count (each replica holds
-        # both tenants), and tenant reports span both replica lanes.
-        assert kernel.report().banks_used == 2 * kernel.session().replicas[
-            0
-        ].banks_used
-        assert kernel.report("x").queries == 9
+        # Silicon doubles with the lane count (every tenant's second
+        # lane is a private clone of its banks), and tenant reports
+        # span both of its lanes.
+        shared_banks = sum(
+            banks for _m, _o, banks in cluster.bank_spans().values()
+        )
+        assert cluster.report().banks_used == 2 * shared_banks
+        assert cluster.tenant_report("x").queries == 9
+        with cluster:  # the async path routes across both lanes
+            futures = [cluster.submit(q, tenant="x") for q in queries]
+            for row, future in enumerate(futures):
+                values, indices = future.result(timeout=30)
+                np.testing.assert_array_equal(values[0], expected[0][row])
+                np.testing.assert_array_equal(indices[0], expected[1][row])
 
     def test_engine_never_mixes_tenants_in_a_micro_batch(self, rng):
         spec = replace(dse_spec(16), banks=4)
@@ -448,19 +464,21 @@ class TestReplicatedMultiTenant:
             rng.choice([-1.0, 1.0], (9, 64)).astype(np.float32),
             rng.choice([-1.0, 1.0], (5, 64)).astype(np.float32),
         ]
-        kernel = _compile_tenants(compiler, stores, tenant_ids=["x", "y"])
         refs = {
             tid: compiler.compile(
                 _dot_model(s), [placeholder((1, 64))]
             )
             for tid, s in zip(["x", "y"], stores)
         }
-        with kernel.serve(max_batch=64, max_wait=0.02) as engine:
+        with _compile_tenants(
+            compiler, stores, tenant_ids=["x", "y"],
+            max_batch=64, max_wait=0.02,
+        ) as cluster:
             futures = []
             for i in range(12):  # strictly alternating tenants
                 tid = "x" if i % 2 == 0 else "y"
                 q = rng.choice([-1.0, 1.0], 64).astype(np.float32)
-                futures.append((tid, q, engine.submit(q, tenant=tid)))
+                futures.append((tid, q, cluster.submit(q, tenant=tid)))
             for tid, q, future in futures:
                 values, indices = future.result(timeout=30)
                 ev, ei = refs[tid].run_batch(q[None, :])
@@ -468,22 +486,26 @@ class TestReplicatedMultiTenant:
                 np.testing.assert_array_equal(indices, ei)
         # A huge max_batch still cannot merge different tenants, so the
         # alternating stream needs more than one micro-batch.
-        assert engine.stats()["batches_dispatched"] >= 2
+        assert cluster.stats()["batches_dispatched"] >= 2
 
     def test_engine_tenant_validation(self, rng):
         spec = replace(dse_spec(16), banks=4)
         compiler = C4CAMCompiler(spec)
         stores = [rng.choice([-1.0, 1.0], (6, 64)).astype(np.float32)]
-        kernel = _compile_tenants(compiler, stores, tenant_ids=["only"])
-        with kernel.serve() as engine:
-            with pytest.raises(SessionError, match="multi-tenant"):
-                engine.submit(np.zeros(64))
-            with pytest.raises(SessionError, match="no tenant"):
-                engine.submit(np.zeros(64), tenant="ghost")
-            with pytest.raises(ValueError, match="width"):
-                engine.submit(np.zeros(32), tenant="only")
-        # Single-tenant backends reject tenant ids outright.
         plain = compiler.compile(_dot_model(stores[0]), [placeholder((1, 64))])
+        with _compile_tenants(compiler, stores, tenant_ids=["only"]) as cluster:
+            # A one-tenant cluster resolves an unnamed request to its
+            # only tenant.
+            query = stores[0][3]
+            _values, indices = cluster.submit(query).result(timeout=30)
+            np.testing.assert_array_equal(
+                indices, plain.run_batch(query[None, :])[1]
+            )
+            with pytest.raises(SessionError, match="no tenant"):
+                cluster.submit(np.zeros(64), tenant="ghost")
+            with pytest.raises(ValueError, match="width"):
+                cluster.submit(np.zeros(32), tenant="only")
+        # Single-tenant backends reject tenant ids outright.
         with plain.serve() as engine:
             with pytest.raises(SessionError, match="single-tenant"):
                 engine.submit(np.zeros(64), tenant="only")
@@ -532,10 +554,66 @@ class TestCompileMany:
             rng.choice([-1.0, 1.0], (4, 32)).astype(np.float32)
             for _ in range(2)
         ]
-        kernel = _compile_tenants(compiler, stores)
-        assert kernel.tenant_ids == ["tenant0", "tenant1"]
-        assert kernel.placement.num_machines >= 1
-        assert "tenant0" in kernel.placement.describe()
+        cluster = _compile_tenants(compiler, stores)
+        assert cluster.tenant_ids == ["tenant0", "tenant1"]
+        assert cluster.num_machines >= 1
+        assert "tenant0" in cluster.describe()
+
+    def test_admits_in_ffd_order_where_first_fit_disagrees(self, rng):
+        """Demands 1,1,3,3 banks on 4-bank machines: first fit in
+        submission order needs 3 machines, FFD needs 2.  compile_many
+        admits in the plan's programming order, so the cluster holds
+        FFD's spans without a defragmentation."""
+        spec = replace(
+            dse_spec(16), subarrays_per_array=2, arrays_per_mat=1,
+            mats_per_bank=1, banks=4,
+        )
+        compiler = C4CAMCompiler(spec)
+        stores = [
+            rng.choice([-1.0, 1.0], (rows, 32)).astype(np.float32)
+            for rows in (16, 16, 48, 48)
+        ]
+        ids = ["t0", "t1", "t2", "t3"]
+        demands = [
+            tenant_demand(
+                tid,
+                compute_partition_plan(
+                    s.shape[0], 32, 1, spec, use_density=False
+                ),
+                spec,
+            )
+            for tid, s in zip(ids, stores)
+        ]
+        assert [d.banks for d in demands] == [1, 1, 3, 3]
+        plan = plan_placement(demands, spec)
+        models = [_dot_model(s) for s in stores]
+        examples = [[placeholder((1, 32))] for _ in stores]
+
+        cluster = compiler.compile_many(models, examples, tenant_ids=ids)
+        assert cluster.bank_spans() == {
+            a.tenant_id: (a.machine_index, a.bank_offset, a.banks)
+            for a in plan.assignments
+        }
+        assert cluster.bank_spans() == {
+            "t2": (0, 0, 3), "t0": (0, 3, 1),
+            "t3": (1, 0, 3), "t1": (1, 3, 1),
+        }
+        assert cluster.tenant_ids == ["t2", "t0", "t3", "t1"]
+        assert cluster.num_machines == 2
+        assert cluster.defrag_count == 0
+        for tid, stored in zip(ids, stores):
+            queries = rng.choice([-1.0, 1.0], (3, 32)).astype(np.float32)
+            alone = compiler.compile(
+                _dot_model(stored), [placeholder((1, 32))]
+            ).run_batch(queries)
+            got = cluster.run_batch(queries, tenant=tid)
+            np.testing.assert_array_equal(got[0], alone[0])
+            np.testing.assert_array_equal(got[1], alone[1])
+
+        # The same kernels admitted in submission order first-fit onto
+        # three machines.
+        submitted = compiler.compile_cluster(models, examples, tenant_ids=ids)
+        assert len({m for m, _o, _b in submitted.bank_spans().values()}) == 3
 
 
 # ------------------------------------------------------------- TenantPool
@@ -571,9 +649,32 @@ class TestTenantPool:
         pool.open()
         with pytest.raises(RuntimeError, match="already open"):
             pool.add("c", stored)
+        with pytest.raises(RuntimeError, match="already open"):
+            pool.open(max_batch=4)
         pool.reset()
         pool.add("c", stored)  # legal again after reset
         assert set(pool.open().tenant_ids) == {"a", "c"}
+
+    def test_reset_shuts_down_the_dropped_cluster(self, rng):
+        from repro.apps import TenantPool
+
+        pool = TenantPool(dse_spec(16))
+        stored = rng.choice([-1.0, 1.0], (4, 32)).astype(np.float32)
+        pool.add("a", stored)
+        cluster = pool.open(max_batch=4)
+        assert cluster.submit(stored[2], tenant="a").result(
+            timeout=30
+        )[1][0, 0] == 2
+        engine = cluster._engine
+        threads = [engine._dispatcher] + [
+            lane.thread for lane in engine._lanes
+        ]
+        assert all(thread.is_alive() for thread in threads)
+        pool.reset()
+        assert not pool.is_open
+        assert not any(thread.is_alive() for thread in threads)
+        with pytest.raises(SessionError, match="shut down"):
+            cluster.submit(stored[0], tenant="a")
 
 
 def test_cli_tenants_demo(capsys):

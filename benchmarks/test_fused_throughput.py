@@ -13,8 +13,13 @@ results.
 Asserted: >= 3x wall-clock over the unfused session path at batch 64 on
 a single machine (the PR's acceptance floor — the exact-Hamming rewrite
 typically lands near 10x), bitwise output equality, and identical
-energy accounting.  The ``test_bench_*`` entries extend the existing
-pytest-benchmark trajectory.
+energy accounting.  Stores that fail the exact gate (every analog one,
+KNN included) score through the plan's generic per-slice loop, so a
+second floor guards that path: the blocked
+:func:`~repro.simulator.cells.compute_scores` kernel >= 2x over the
+textbook broadcast formula on the KNN slice shape, bitwise equal.  The
+``test_bench_*`` entries extend the existing pytest-benchmark
+trajectory.
 """
 
 import time
@@ -25,6 +30,7 @@ import pytest
 from repro.arch import paper_spec
 from repro.compiler import C4CAMCompiler
 from repro.frontend import placeholder
+from repro.simulator.cells import compute_scores
 
 from harness import print_series
 
@@ -113,6 +119,45 @@ def test_fused_throughput_3x(workload):
     assert fr.searches == ur.searches
     # The acceptance floor.
     assert speedup >= 3.0, f"only {speedup:.1f}x over the unfused walk"
+
+
+def _textbook_euclidean(stored, queries):
+    """The broadcast formula: one ``B×R×C`` temporary per step."""
+    diff = stored.astype(np.float64) - queries.astype(np.float64)[:, None, :]
+    diff = np.where(np.isnan(stored), 0.0, diff)
+    return (diff * diff).sum(axis=-1)
+
+
+def test_generic_scoring_2x():
+    """The blocked Euclidean kernel beats the textbook broadcast formula
+    >= 2x on the KNN slice shape (512x64 analog store, 32-query batch),
+    bitwise equal — best of 7 interleaved repetitions each."""
+    rng = np.random.default_rng(5)
+    stored = rng.standard_normal((512, 64))
+    queries = rng.standard_normal((32, 64))
+
+    blocked_s = textbook_s = float("inf")
+    for _ in range(7):
+        t0 = time.perf_counter()
+        got = compute_scores("euclidean", stored, queries)
+        blocked_s = min(blocked_s, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        want = _textbook_euclidean(stored, queries)
+        textbook_s = min(textbook_s, time.perf_counter() - t0)
+
+    speedup = textbook_s / blocked_s
+    print_series(
+        "generic Euclidean scoring (B=32, 512x64 store)",
+        ["wall s", "queries/s"],
+        [
+            ("textbook broadcast", [textbook_s, 32 / textbook_s]),
+            ("blocked kernel", [blocked_s, 32 / blocked_s]),
+            ("speedup", [speedup, speedup]),
+        ],
+    )
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert speedup >= 2.0, f"only {speedup:.1f}x over the broadcast formula"
 
 
 def test_fused_rebuild_cost_amortizes(workload):

@@ -110,6 +110,8 @@ def _exact_kernel(metric: str, full: Optional[np.ndarray]):
     Don't-care cells drop out through the valid mask ``V``.  Returns
     ``(metric, a, b, base, VT, AT)`` or ``None`` when the stored data
     fails the gate (the query side is gated per batch at execute time).
+    The gate is checked before any BLAS operand is built, so a store
+    that fails it (every analog one) costs only the check.
     """
     if full is None or full.size == 0:
         return None
@@ -117,26 +119,26 @@ def _exact_kernel(metric: str, full: Optional[np.ndarray]):
         return None
     valid = ~np.isnan(full)
     finite = full[valid]
-    cleaned = np.where(valid, full, 0.0)
-    vt = np.ascontiguousarray(valid.T.astype(np.float64))
     if metric == "hamming":
         vals = np.unique(finite)
         if vals.size != 2:
             return None
         a, b = float(vals[0]), float(vals[1])
         sb = ((full == b) & valid).astype(np.float64)
+        vt = np.ascontiguousarray(valid.T.astype(np.float64))
         return ("hamming", a, b, sb.sum(axis=1),
                 vt, np.ascontiguousarray(sb.T))
-    if not (np.all(np.abs(finite) <= _EXACT_MAX)
-            and np.all(finite == np.rint(finite))):
+    if metric not in ("dot", "euclidean") or not (
+        np.all(finite == np.rint(finite))
+        and np.all(np.abs(finite) <= _EXACT_MAX)
+    ):
         return None
+    cleaned = np.where(valid, full, 0.0)
     at = np.ascontiguousarray(cleaned.T)
     if metric == "dot":
         return ("dot", 0.0, 0.0, None, None, at)
-    if metric == "euclidean":
-        return ("euclidean", 0.0, 0.0,
-                (cleaned * cleaned).sum(axis=1), vt, at)
-    return None
+    vt = np.ascontiguousarray(valid.T.astype(np.float64))
+    return ("euclidean", 0.0, 0.0, (cleaned * cleaned).sum(axis=1), vt, at)
 
 
 class FusedPlan:

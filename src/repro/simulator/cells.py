@@ -43,16 +43,95 @@ def quantize(data: np.ndarray, bits: int) -> np.ndarray:
     return np.clip(np.rint(scaled), 0, levels - 1).astype(np.int64)
 
 
+#: Per-cell terms one scoring block may hold: ``2**15`` float64
+#: (256 KiB), so a block's temporary stays resident in a core's L2
+#: cache while it is written, squared and reduced.  A ``B×C`` batch
+#: against an ``R×C`` store is scored ``BLOCK_ELEMENTS // (R*C)``
+#: queries at a time (at least one); Hamming's one-byte mismatch flags
+#: fill the same 256 KiB, eight times as many per block.  Every row
+#: still reduces by one contiguous ``np.add.reduce`` (what
+#: ``sum(axis=-1)`` calls) over the same values, so the block size is
+#: bitwise-invisible.
+BLOCK_ELEMENTS = 1 << 15
+
+
+def _valid_cells(stored: np.ndarray):
+    """Mask of ``stored``'s cells that are not don't-care, or ``None``
+    when every cell is valid (the zeroing step is then skipped).
+    ``x == x`` is the NaN test with the negation folded in: NaN, the
+    don't-care marker, is the one value unequal to itself.
+    """
+    valid = stored == stored
+    return None if np.count_nonzero(valid) == valid.size else valid
+
+
+def _row_sums(terms, stored, query, keep, dtype):
+    """Sum ``terms(stored, q, keep, out)`` over each stored row.
+
+    ``query`` is one query (``C``) or a batch (``B×C``).  ``terms``
+    writes the per-cell terms of queries ``q`` (``1×C``, or a ``b×1×C``
+    block) against the ``R×C`` store into ``out`` — a ``b×R×C`` buffer
+    of ``dtype``, or ``None`` to allocate one, as NumPy's ``out=`` does
+    — zeroes the don't-care cells with ``keep`` (``None`` when there is
+    nothing to zero) and returns them.  A single query, or a batch whose
+    terms fit one block, is scored in that one step: at one query on a
+    32×32 tile, setting up the block loop would cost a quarter to a
+    third of the call.  A larger batch is scored block by block through
+    one scratch buffer allocated per call — never shared between calls,
+    so concurrent callers cannot collide in it.
+    """
+    budget = BLOCK_ELEMENTS * (8 if dtype is np.bool_ else 1)
+    if query.ndim == 1 or len(query) * stored.size <= budget:
+        return np.add.reduce(
+            terms(stored, query[..., None, :], keep, None), axis=-1
+        )
+    per_block = max(1, budget // stored.size)
+    sums = np.empty(
+        (len(query), len(stored)),
+        dtype=np.intp if dtype is np.bool_ else np.float64,
+    )
+    scratch = np.empty((per_block,) + stored.shape, dtype=dtype)
+    batch = query[:, None, :]
+    for i in range(0, len(query), per_block):
+        block = batch[i : i + per_block]
+        np.add.reduce(
+            terms(stored, block, keep, scratch[: len(block)]),
+            axis=-1, out=sums[i : i + per_block],
+        )
+    return sums
+
+
+def _mismatch_terms(stored, q, valid, out):
+    mism = np.not_equal(stored, q, out=out)
+    mism &= valid
+    return mism
+
+
+def _euclidean_terms(stored, q, keep, out):
+    diff = np.subtract(stored, q, out=out)
+    if keep is not None:
+        bits = diff.view(np.int64)
+        bits &= keep
+    return np.multiply(diff, diff, out=diff)
+
+
+def _product_terms(stored, q, _keep, out):
+    return np.multiply(stored, q, out=out)
+
+
 def hamming_distance(stored: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Per-row count of mismatching cells (don't-cares never mismatch).
 
     ``stored`` is ``R×C`` integer codes, ``query`` is length-``C`` or a
     ``B×C`` batch.  Returns a length-``R`` vector (``B×R`` for batches).
     """
-    query = np.asarray(query)
-    mism = stored != query[..., None, :]
-    mism &= ~is_dont_care(stored)
-    return mism.sum(axis=-1).astype(np.float64)
+    stored = np.asarray(stored)
+    # ``x == x`` is False exactly at NaN, the don't-care marker.
+    counts = _row_sums(
+        _mismatch_terms, stored, np.asarray(query),
+        stored == stored, np.bool_,
+    )
+    return counts.astype(np.float64)
 
 
 def euclidean_sq_distance(stored: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -62,10 +141,18 @@ def euclidean_sq_distance(stored: np.ndarray, query: np.ndarray) -> np.ndarray:
     unbounded range matches any query value).  ``query`` may be a batch
     (``B×C`` → ``B×R`` scores).
     """
-    query = np.asarray(query).astype(np.float64)
-    diff = stored.astype(np.float64) - query[..., None, :]
-    diff = np.where(is_dont_care(stored), 0.0, diff)
-    return (diff * diff).sum(axis=-1)
+    stored = np.asarray(stored, dtype=np.float64)
+    # ANDing a float64's bits with -1 (all ones) keeps it and with 0
+    # makes it +0.0: ``np.where(dont_care, 0.0, diff)`` bit for bit,
+    # without a masked (branchy, several times slower) loop.
+    keep = _valid_cells(stored)
+    if keep is not None:
+        keep = keep.astype(np.int64)
+        np.negative(keep, out=keep)
+    return _row_sums(
+        _euclidean_terms, stored, np.asarray(query, dtype=np.float64),
+        keep, np.float64,
+    )
 
 
 def dot_similarity(stored: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -74,11 +161,16 @@ def dot_similarity(stored: np.ndarray, query: np.ndarray) -> np.ndarray:
     Don't-care cells contribute nothing to the sum.  ``query`` may be a
     batch (``B×C`` → ``B×R`` scores).
     """
-    s = np.where(is_dont_care(stored), 0.0, stored.astype(np.float64))
-    # Broadcast-multiply + pairwise sum (not BLAS matmul) so batched and
+    stored = np.asarray(stored, dtype=np.float64)
+    valid = _valid_cells(stored)
+    if valid is not None:
+        stored = np.where(valid, stored, 0.0)
+    # Multiply + pairwise row sum (not BLAS matmul) so batched and
     # single-query scores reduce in the same order — bitwise identical.
-    query = np.asarray(query).astype(np.float64)
-    return (s * query[..., None, :]).sum(axis=-1)
+    return _row_sums(
+        _product_terms, stored, np.asarray(query, dtype=np.float64),
+        None, np.float64,
+    )
 
 
 #: metric name -> (function, True when larger score means better match)
@@ -89,30 +181,24 @@ METRIC_FUNCTIONS = {
 }
 
 
-#: Query-batch rows scored per vectorized step.  The batched kernels
-#: materialize a ``chunk × R × C`` temporary; chunking bounds that to a
-#: few MB regardless of the serving batch size.  Per-row reductions are
-#: independent, so chunking is bitwise-invisible.
-BATCH_CHUNK = 256
-
-
 def compute_scores(metric: str, stored: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Dispatch to the metric implementation.
+    """Score ``query`` against every row of ``stored`` under ``metric``.
 
-    ``query`` may be a single query (``C``) or a batch (``B×C``);
-    batches are scored in :data:`BATCH_CHUNK`-row chunks to bound the
-    broadcast temporaries.
+    ``query`` may be a single query (``C`` → ``R`` scores) or a batch
+    (``B×C`` → ``B×R``).  This is the one scoring kernel: the fused
+    plan's generic loop, the unfused session walk, the noise path and
+    ``Subarray.search`` all call it.  A batch larger than one
+    :data:`BLOCK_ELEMENTS` block is scored block by block, each block
+    computed in place in one scratch buffer allocated per call; a
+    smaller one, a single query included, in one step.  Scores are
+    bitwise identical to the textbook broadcast formulas
+    (``((s - q)**2).sum(-1)``, ``(s * q).sum(-1)``, ``(s != q).sum(-1)``
+    with don't-care cells zeroed).
     """
     try:
         fn, _ = METRIC_FUNCTIONS[metric]
     except KeyError:
         raise ValueError(f"unknown CAM metric: {metric!r}") from None
-    query = np.asarray(query)
-    if query.ndim > 1 and query.shape[0] > BATCH_CHUNK:
-        return np.concatenate([
-            fn(stored, query[i : i + BATCH_CHUNK])
-            for i in range(0, query.shape[0], BATCH_CHUNK)
-        ])
     return fn(stored, query)
 
 

@@ -551,6 +551,41 @@ def test_fused_cluster_matches_unfused_oracle():
     np.testing.assert_array_equal(results[True][1], results[False][1])
 
 
+def test_analog_euclidean_plan_skips_exact_rewrite(euclidean_kernel):
+    """An analog-float Euclidean store fails the exact-BLAS gate, so its
+    plan carries no rewrite and scores through the generic per-slice
+    loop — still bitwise the unfused walk, results and accounting.  The
+    same kernel over integer codes passes the gate."""
+    rng = np.random.default_rng(31)
+    analog = rng.standard_normal((40, 96)).astype(np.float32)
+    queries = rng.standard_normal((7, 96)).astype(np.float32)
+    spec = paper_spec(rows=16, cols=32, cam_type="acam")
+    example = [placeholder((96,))]
+
+    def compile_pair(stored):
+        return [
+            C4CAMCompiler(spec).compile(
+                euclidean_kernel(stored, k=3), example, fused=fused
+            )
+            for fused in (True, False)
+        ]
+
+    kf, ko = compile_pair(analog)
+    rf, ro = kf.run_batch(queries), ko.run_batch(queries)
+    sf, so = kf.session(), ko.session()
+    assert sf._fused_plan and sf._fused_plan.exact is None
+    assert sf.fused_runs == 1 and so.fused_runs == 0
+    for got, want in zip(rf, ro):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    assert sf.last_values.tobytes() == so.last_values.tobytes()
+    assert _report_tuple(sf.last_report) == _report_tuple(so.last_report)
+
+    kf, _ = compile_pair(np.rint(4 * analog))
+    kf.run_batch(np.rint(4 * queries))
+    assert kf.session()._fused_plan.exact is not None
+
+
 def test_noise_bypasses_fusion():
     """Device noise keeps the unfused walk (draws are per-machine-call):
     a noisy fused-flag session must produce the identical realization."""

@@ -466,35 +466,36 @@ class TestBatchedExecutorHandlers:
 
 class TestBatchChunking:
     def test_chunked_scores_bitwise_equal(self, rng):
-        """Batches beyond BATCH_CHUNK are scored in chunks with results
-        identical to per-row scoring."""
-        from repro.simulator.cells import BATCH_CHUNK, compute_scores
+        """A batch spanning several scoring blocks (a ragged last one
+        included, for every metric) equals per-row scoring bitwise."""
+        from repro.simulator.cells import BLOCK_ELEMENTS, compute_scores
 
         stored = rng.standard_normal((8, 16))
-        queries = rng.standard_normal((BATCH_CHUNK + 44, 16))
+        # Hamming's one-byte flags fit 8x the float terms per block, so
+        # this spans 2 Hamming blocks and 9 Euclidean/dot blocks.
+        n_queries = 8 * BLOCK_ELEMENTS // stored.size + 44
+        queries = rng.standard_normal((n_queries, 16))
         for metric in ("hamming", "euclidean", "dot"):
             got = compute_scores(metric, stored, queries)
-            assert got.shape == (BATCH_CHUNK + 44, 8)
+            assert got.shape == (n_queries, 8)
             rows = np.vstack([
                 compute_scores(metric, stored, q) for q in queries
             ])
-            np.testing.assert_array_equal(got, rows)
+            np.testing.assert_array_equal(
+                got.view(np.uint64), rows.view(np.uint64)
+            )
 
     def test_large_batch_session(self, dot_kernel, rng):
-        """A serving-scale batch (> BATCH_CHUNK) runs end to end."""
-        from repro.simulator.cells import BATCH_CHUNK
-
+        """A serving-scale batch (> 256 queries) runs end to end."""
         stored = rng.choice([-1.0, 1.0], (8, 64)).astype(np.float32)
-        queries = rng.choice(
-            [-1.0, 1.0], (BATCH_CHUNK + 10, 64)
-        ).astype(np.float32)
+        queries = rng.choice([-1.0, 1.0], (266, 64)).astype(np.float32)
         kernel = compile_dot(dot_kernel, stored, (1, 64))
         _v, idx = kernel.run_batch(queries)
         expected = (
             queries.astype(np.float64) @ stored.T.astype(np.float64)
         ).argmax(axis=1)
         np.testing.assert_array_equal(idx.ravel(), expected)
-        assert kernel.last_report.queries == BATCH_CHUNK + 10
+        assert kernel.last_report.queries == 266
 
 
 class TestBatchedPeripherals:

@@ -17,8 +17,10 @@ energy accounting.  Stores that fail the exact gate (every analog one,
 KNN included) score through the plan's generic per-slice loop, so a
 second floor guards that path: the blocked
 :func:`~repro.simulator.cells.compute_scores` kernel >= 2x over the
-textbook broadcast formula on the KNN slice shape, bitwise equal.  The
-``test_bench_*`` entries extend the existing pytest-benchmark
+textbook broadcast formula on the KNN slice shape, bitwise equal.  A
+third guards the mutation path: refreshing the plan in place after a
+small insert + delete >= 2x cheaper than a full re-trace, plans equal.
+The ``test_bench_*`` entries extend the existing pytest-benchmark
 trajectory.
 """
 
@@ -30,6 +32,7 @@ import pytest
 from repro.arch import paper_spec
 from repro.compiler import C4CAMCompiler
 from repro.frontend import placeholder
+from repro.runtime.fused import build_fused_plan
 from repro.simulator.cells import compute_scores
 
 from harness import print_series
@@ -160,25 +163,83 @@ def test_generic_scoring_2x():
     assert speedup >= 2.0, f"only {speedup:.1f}x over the broadcast formula"
 
 
-def test_fused_rebuild_cost_amortizes(workload):
-    """One mutation invalidates the plan; the rebuilt plan serves the
-    next batch and the re-trace stays far below a machine re-program."""
-    fused = workload["fused"]
-    queries = workload["queries"]
-    session = fused.session()
-    session.run_batch(queries)
-    runs = session.fused_runs
+def _plan_arrays(plan):
+    """Every array a fused plan serves from, stores first."""
+    arrays = [store for _c0, _c1, store in plan.slices]
+    if plan.exact is not None:
+        arrays += [a for a in plan.exact[3:] if a is not None]
+    return arrays
+
+
+def _same_plan(got, want):
+    """Byte-for-byte plan equality (``tests/test_mutation_differential.py``
+    checks every field; this is the benchmark's cheap guard)."""
+    assert (got.exact is None) == (want.exact is None)
+    assert got.n_alive == want.n_alive
+    assert got.host_energy == want.host_energy
+    assert got.search_charges == want.search_charges
+    assert got.read_charges == want.read_charges
+    assert got.merge_charges == want.merge_charges
+    np.testing.assert_array_equal(got.live, want.live)
+    for g, w in zip(_plan_arrays(got), _plan_arrays(want), strict=True):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+
+def test_fused_rebuild_cost_amortizes():
+    """After a 4-row insert plus a 4-row delete, refreshing the fused
+    plan in place is >= 2x cheaper than a full ``build_fused_plan``
+    re-trace, and the refreshed plan equals the fresh one — best of 5
+    interleaved repetitions, on the churn workload's store shape (192x512
+    bipolar, 32x32 subarrays)."""
     rng = np.random.default_rng(7)
-    ids = session.insert(
-        rng.choice([-1.0, 1.0], (2, DIMS)).astype(np.float32)
+
+    def bipolar(rows):
+        return rng.choice([-1.0, 1.0], (rows, 512)).astype(np.float32)
+
+    kernel = C4CAMCompiler(paper_spec(rows=32, cols=32)).compile(
+        _dot_model(bipolar(192)), [placeholder((1, 512))]
     )
-    assert session._fused_plan is None  # invalidated by the mutation
-    t0 = time.perf_counter()
-    session.run_batch(queries)          # re-trace + fused execute
-    retrace_s = time.perf_counter() - t0
-    assert session.fused_runs == runs + 1
-    session.delete(ids)
-    print(f"mutate->retrace->serve: {retrace_s * 1e3:.2f} ms")
+    session = kernel.session()
+    queries = bipolar(8)
+
+    def mutate():
+        session.insert(bipolar(4))
+        session.delete(
+            [int(i) for i in rng.choice(session.row_ids(), 4, replace=False)]
+        )
+
+    session.run_batch(queries)   # trace the plan
+    mutate()                     # grow once: a capacity change re-traces
+    session.run_batch(queries)
+    plan = session._fused_plan
+    refresh_s = build_s = float("inf")
+    for _ in range(5):
+        mutate()
+        touched = set(session._touched_slots)
+        t0 = time.perf_counter()
+        assert plan.refresh(session, touched)
+        refresh_s = min(refresh_s, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        fresh = build_fused_plan(session)
+        build_s = min(build_s, time.perf_counter() - t0)
+        _same_plan(plan, fresh)
+        session.run_batch(queries)
+        assert session._fused_plan is plan
+    assert session.compactions == 0, "a compaction moves most rows"
+    assert plan.exact is not None   # the exact Hamming rewrite stays on
+
+    speedup = build_s / refresh_s
+    print_series(
+        "fused-plan upkeep after a 4-row insert + 4-row delete "
+        "(192x512 bipolar, 32x32 subarrays)",
+        ["wall ms"],
+        [
+            ("full build_fused_plan", [build_s * 1e3]),
+            ("in-place refresh", [refresh_s * 1e3]),
+            ("speedup", [speedup]),
+        ],
+    )
+    assert speedup >= 2.0, f"refresh only {speedup:.1f}x cheaper than a build"
 
 
 def test_bench_fused_batch64(benchmark, workload):

@@ -4,50 +4,59 @@ A :class:`~repro.runtime.session.QuerySession` answers every batch by
 walking the same fixed post-programming pipeline — per-tile
 ``machine.search`` (mask-gather the stored rows, score, latch), per-tile
 ``read_batch``/``merge``, three hierarchy merge hops, then the host
-top-k.  The *structure* of that walk never changes between mutations:
-the tile placement, the live-row sets, the per-operation energy charges
-and the metric are all fixed once the store is programmed.  This module
-traces that structure exactly once and emits a :class:`FusedPlan` — a
-preallocated batch kernel that executes the whole pipeline as one flat
-sequence of vectorized NumPy ops with no per-stage Python dispatch:
+top-k.  The *structure* of that walk is fixed by the tile placement and
+the slot directory: the per-operation energy charges, the live-row set
+and the metric follow from them.  This module traces that structure into
+a :class:`FusedPlan` — a preallocated batch kernel that executes the
+whole pipeline as one flat sequence of vectorized NumPy ops with no
+per-stage Python dispatch:
 
-* **trace** — :func:`build_fused_plan` reads the *machine's* stored
-  tiles (the same ``SubarrayState`` windows a search would gather),
-  concatenates each column slice's live rows into one contiguous
-  matrix in slot order, and precomputes every per-query energy charge
-  the unfused walk would make, in the same order;
-* **plan** — the result is immutable: per-column-slice stores, the
-  per-tile charge schedule, the top-k configuration;
+* **trace** — :func:`build_fused_plan` allocates the plan's
+  slot-indexed arrays for the session's slot capacity and refreshes
+  every slot: it reads the *machine's* stored tiles (the same
+  ``SubarrayState`` rows a search would gather) into one contiguous
+  matrix per column slice, row ``s`` holding slot ``s``, and precomputes
+  every per-query energy charge the unfused walk would make, in the same
+  order;
+* **plan** — per-column-slice stores, the per-tile charge schedule, the
+  live-slot set, the top-k configuration;
 * **execute** — :meth:`FusedPlan.execute` scores a whole ``B×D`` batch
-  with one :func:`~repro.simulator.cells.compute_scores` call per
-  column slice, applies the charge schedule (scalar multiply-adds into
-  the live machine counters), and selects the per-query top-k directly
-  through :func:`~repro.simulator.peripherals.best_match_batch`.
+  against every slot with one
+  :func:`~repro.simulator.cells.compute_scores` call per column slice,
+  gathers the live slots, applies the charge schedule (scalar
+  multiply-adds into the live machine counters), and selects the
+  per-query top-k directly through
+  :func:`~repro.simulator.peripherals.best_match_batch`.
 
 **Bitwise-identity guarantee.**  A fused run returns the same
 ``[values, indices]`` bit for bit as the unfused session walk, and its
 :class:`~repro.simulator.metrics.ExecutionReport` charges identical
-energy and latency: score accumulation preserves the unfused
-per-column-slice (and, density-stacked, per-subarray) float addition
-order; the top-k is the same stable argsort with the same WTA clamp;
-every energy counter receives the same sequence of ``+=`` operands.
-The unfused path stays in the tree as the differential oracle
-(``tests/test_differential.py``, ``tests/test_mutation_differential.py``).
+energy and latency: every slot's score is the unfused per-column-slice
+(and, density-stacked, per-subarray) float sum in the same order, and
+the live-slot gather keeps the walk's slot order; the top-k is the same
+stable argsort with the same WTA clamp; every energy counter receives
+the same sequence of ``+=`` operands.  The unfused path stays in the
+tree as the differential oracle (``tests/test_differential.py``,
+``tests/test_mutation_differential.py``).
 
-**Invalidation.**  Mutations (insert/delete/update/compact/grow) change
-the live-row sets the trace snapshotted, so the owning session drops its
-plan on every mutation and rebuilds lazily on the next ``run_batch`` —
-the compiled-artifact idiom of AOT module export (build once, cache,
-invalidate on source change).  Fusion is transparently bypassed when
-device noise is enabled (noise draws are per-machine-call, which only
-the unfused walk reproduces) or when the machine's valid rows disagree
-with the session's slot directory (defensive: never serve rows the
-hardware would not).
+**Refresh.**  A mutation (insert/delete/update/compact) programs only
+the rows it touches, and the plan follows the machine the same way: the
+owning session records the slots it writes or erases and marks its plan
+stale, and the next ``run_batch`` calls :meth:`FusedPlan.refresh`.  The
+refresh re-reads only the touched rows, checks their valid bits against
+the session's slot directory, rewrites their exact-rewrite operand
+columns, and recomputes the charge schedule, live-slot set and top-k
+charge.  A full trace is a refresh of every slot, so a refreshed plan
+equals a fresh trace byte for byte; a capacity change (``grow``)
+re-allocates and refreshes every slot.  Fusion is bypassed when device
+noise is enabled (noise draws are per-machine-call, which only the
+unfused walk reproduces) or when a row's valid bits disagree with the
+slot directory (defensive: never serve rows the hardware would not).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -64,147 +73,296 @@ __all__ = ["FusedPlan", "build_fused_plan"]
 #: single bit.
 _EXACT_MAX = float(1 << 20)
 _EXACT_MAX_FEATURES = 1 << 12
-
-
-def _assemble_store(slices, stacked: bool, n_alive: int, features: int):
-    """Concatenate the traced tiles into one live-store matrix.
-
-    Returns ``None`` unless the tiles' column spans partition
-    ``[0, features)`` exactly once — the precondition for collapsing the
-    per-tile accumulation into a single whole-row reduction.
-    """
-    tiles: List[Tuple[int, int, np.ndarray]] = []
-    if stacked:
-        for sub_slices in slices:
-            tiles.extend(sub_slices)
-    else:
-        tiles = list(slices)
-    edge = 0
-    for c0, c1 in sorted((c0, c1) for c0, c1, _ in tiles):
-        if c0 != edge:
-            return None
-        edge = c1
-    if edge != features:
-        return None
-    full = np.empty((n_alive, features), dtype=np.float64)
-    for c0, c1, store in tiles:
-        full[:, c0:c1] = store
-    return full
-
-
-def _exact_kernel(metric: str, full: Optional[np.ndarray]):
-    """Build the exact-arithmetic rewrite of ``metric`` over ``full``.
-
-    CAM match scores are sums of per-cell terms.  Whenever every term is
-    an exact float64 integer, addition is associative *bit for bit*, so
-    the per-tile accumulation order the generic path preserves stops
-    mattering and the whole score matrix collapses into BLAS matmuls:
-
-    * ``hamming`` over a two-value stored alphabet ``{a, b}``:
-      per-cell mismatch is ``sb XOR qb = sb + qb - 2·sb·qb`` on the
-      ``== b`` indicators, so ``counts = base + qb@V - 2·(qb@A)``;
-    * ``euclidean`` over integer codes: ``(s-q)² = s² - 2sq + q²``,
-      so ``dist = base + q²@V - 2·(q@A)``;
-    * ``dot`` over integer codes: ``sim = q@A``.
-
-    Don't-care cells drop out through the valid mask ``V``.  Returns
-    ``(metric, a, b, base, VT, AT)`` or ``None`` when the stored data
-    fails the gate (the query side is gated per batch at execute time).
-    The gate is checked before any BLAS operand is built, so a store
-    that fails it (every analog one) costs only the check.
-    """
-    if full is None or full.size == 0:
-        return None
-    if full.shape[1] > _EXACT_MAX_FEATURES:
-        return None
-    valid = ~np.isnan(full)
-    finite = full[valid]
-    if metric == "hamming":
-        vals = np.unique(finite)
-        if vals.size != 2:
-            return None
-        a, b = float(vals[0]), float(vals[1])
-        sb = ((full == b) & valid).astype(np.float64)
-        vt = np.ascontiguousarray(valid.T.astype(np.float64))
-        return ("hamming", a, b, sb.sum(axis=1),
-                vt, np.ascontiguousarray(sb.T))
-    if metric not in ("dot", "euclidean") or not (
-        np.all(finite == np.rint(finite))
-        and np.all(np.abs(finite) <= _EXACT_MAX)
-    ):
-        return None
-    cleaned = np.where(valid, full, 0.0)
-    at = np.ascontiguousarray(cleaned.T)
-    if metric == "dot":
-        return ("dot", 0.0, 0.0, None, None, at)
-    vt = np.ascontiguousarray(valid.T.astype(np.float64))
-    return ("euclidean", 0.0, 0.0, (cleaned * cleaned).sum(axis=1), vt, at)
+_EXACT_METRICS = ("hamming", "euclidean", "dot")
 
 
 class FusedPlan:
     """One session's traced pipeline, ready to execute batches.
 
-    Built by :func:`build_fused_plan`; owned (and invalidated) by a
-    :class:`~repro.runtime.session.QuerySession`.  The plan holds
-    snapshots of the machine's stored tiles, so it must be rebuilt
-    whenever the store mutates — the session does this automatically.
+    Built by :func:`build_fused_plan` and kept current by
+    :meth:`refresh`; owned by a
+    :class:`~repro.runtime.session.QuerySession`, which refreshes it
+    after every mutation.  Every per-slot array is sized to the
+    session's slot capacity and indexed by slot: tombstoned and unused
+    slots are scored like live ones and dropped by the live-slot gather
+    before the top-k.
     """
 
     __slots__ = (
         "machine",
         "metric",
         "stacked",
-        "slices",
-        "n_alive",
         "largest",
         "wta_window",
+        "capacity",
+        "features",
+        "slices",
+        "live",
+        "n_alive",
         "search_charges",
         "read_charges",
         "merge_charges",
         "host_energy",
         "exact",
+        "_units",
+        "_columns",
+        "_ok",
+        "_lo",
+        "_hi",
     )
 
-    def __init__(
-        self,
-        machine,
-        metric: str,
-        stacked: bool,
-        slices,
-        features: int,
-        n_alive: int,
-        largest: bool,
-        wta_window: int,
-        search_charges: List[Tuple[object, float]],
-        read_charges: List[float],
-        merge_charges: List[float],
-        host_energy: float,
-    ):
-        self.machine = machine
-        self.metric = metric
-        self.stacked = stacked
-        #: Non-stacked: ``[(c0, c1, store)]`` per column slice, each
-        #: ``store`` the live rows of that slice concatenated in slot
-        #: order.  Stacked: ``[[(c0, c1, store), ...]]`` — one inner
-        #: list per subarray, one entry per stacked pattern batch.
-        self.slices = slices
-        self.n_alive = n_alive
-        self.largest = largest
-        self.wta_window = wta_window
+    def __init__(self, session):
+        program = session.program
+        self.machine = session.machine
+        self.metric = program.metric
+        self.stacked = program.plan.batches > 1
+        self.largest = program.largest
+        self.wta_window = session.tech.wta_window
+        self._allocate(session)
+
+    def _allocate(self, session) -> None:
+        """Lay out zeroed slot-indexed arrays for the session's capacity."""
+        program, machine = session.program, session.machine
+        plan = program.plan
+        capacity = session._capacity
+        features = plan.features
+
+        def store(cp):
+            c0 = cp * plan.col_tile
+            c1 = min(c0 + plan.col_tile, features)
+            return c0, c1, np.zeros((capacity, c1 - c0), dtype=np.float64)
+
+        #: ``(first slot, end slot, row of the first slot, tiles)`` per
+        #: run of tiles that back the same slots; ``tiles`` pairs each
+        #: ``SubarrayState`` with the plan store its rows land in.
+        units = []
+        if self.stacked:
+            # Every tile holds every slot: batch ``b`` of the stacked
+            # pattern set starts at row ``b * patterns``.
+            per_sub: dict = {}
+            for lin, batch, (_rp, cp) in program.tiles():
+                tile = store(cp)
+                per_sub.setdefault(lin, []).append(tile)
+                sub = machine.subarray(session._sub_ids[lin])
+                units.append(
+                    (0, capacity, batch * plan.patterns, [(sub, tile[2])])
+                )
+            #: Stacked: one ``[(c0, c1, store), ...]`` list per subarray,
+            #: one entry per stacked pattern batch.
+            self.slices = list(per_sub.values())
+            columns = [tile for tiles in self.slices for tile in tiles]
+        else:
+            #: Non-stacked: ``(c0, c1, store)`` per column slice.
+            self.slices = [store(cp) for cp in range(plan.col_tiles)]
+            for group in session._row_groups:
+                tiles = [
+                    (machine.subarray(sub_id), self.slices[cp][2])
+                    for cp, sub_id in enumerate(group.subs)
+                ]
+                units.append(
+                    (group.base_slot, group.base_slot + group.window, 0,
+                     tiles)
+                )
+            columns = self.slices
+        self.capacity = capacity
+        self.features = features
+        self._units = units
+        #: Exact-arithmetic matmul rewrite of the metric, or ``None``
+        #: (see :meth:`_refresh_exact`); gated per batch on the query
+        #: values, with the per-slice loop as the always-correct
+        #: fallback.
+        self.exact = None
+        self._columns = None
+        if self.metric in _EXACT_METRICS and features <= _EXACT_MAX_FEATURES:
+            # The column spans cover [0, features) exactly once (one
+            # tile per column slice), so whole rows assemble from them.
+            # Per-slot gate state: whether the row passes the gate on its
+            # own, and (Hamming) its smallest and largest stored value.
+            # Dead slots are neutral (True, NaN, NaN): the gate counts
+            # live rows only.
+            self._columns = columns
+            self._ok = np.ones(capacity, dtype=bool)
+            self._lo = np.full(capacity, np.nan)
+            self._hi = np.full(capacity, np.nan)
+
+    # ------------------------------------------------------------ refresh
+    def refresh(self, session, slots: Iterable[int]) -> bool:
+        """Bring the plan up to date with ``session``'s store, in place.
+
+        ``slots`` are the slots written or erased since the last
+        refresh.  Only their rows are re-read from the machine; the
+        charge schedule, the live-slot set and the top-k charge are
+        recomputed from the slot directory every time, because a
+        compaction can lower the high-water slot without touching a row.
+        Returns ``False`` — the plan is then unusable — when a re-read
+        row's valid bits disagree with the slot directory.
+        """
+        if self.capacity != session._capacity:
+            self._allocate(session)
+            slots = range(self.capacity)
+        slots = np.unique(np.fromiter(slots, dtype=np.intp))
+        alive = session._alive
+        for s0, s1, row0, tiles in self._units:
+            lo, hi = np.searchsorted(slots, (s0, s1))
+            if lo == hi:
+                continue
+            sel = slots[lo:hi]
+            rows = sel - s0 + row0
+            valid = np.empty((len(tiles), sel.size), dtype=bool)
+            for j, (sub, store) in enumerate(tiles):
+                store[sel], valid[j] = sub.row_contents(rows, store.shape[1])
+            if not (valid == alive[sel]).all():
+                return False
+        if self._columns is not None and slots.size:
+            self._refresh_exact(slots, alive[slots])
+        self._schedule(session)
+        return True
+
+    def _rows(self, slots: np.ndarray) -> np.ndarray:
+        """Whole stored rows of ``slots``, assembled from the slices."""
+        rows = np.empty((slots.size, self.features), dtype=np.float64)
+        for c0, c1, store in self._columns:
+            rows[:, c0:c1] = store[slots]
+        return rows
+
+    def _refresh_exact(self, slots: np.ndarray, alive: np.ndarray) -> None:
+        """Re-gate the exact rewrite and rewrite ``slots``' operands.
+
+        CAM match scores are sums of per-cell terms.  Whenever every term
+        is an exact float64 integer, addition is associative *bit for
+        bit*, so the per-tile accumulation order the generic path
+        preserves stops mattering and the whole score matrix collapses
+        into BLAS matmuls:
+
+        * ``hamming`` over a two-value stored alphabet ``{a, b}``:
+          per-cell mismatch is ``sb XOR qb = sb + qb - 2·sb·qb`` on the
+          ``== b`` indicators, so ``counts = base + qb@V - 2·(qb@A)``;
+        * ``euclidean`` over integer codes: ``(s-q)² = s² - 2sq + q²``,
+          so ``dist = base + q²@V - 2·(q@A)``;
+        * ``dot`` over integer codes: ``sim = q@A``.
+
+        Don't-care cells drop out through the valid mask ``V``.  The
+        gate runs over the live rows only and before any operand is
+        built, so a store that fails it (every analog one) costs only
+        the check; ``exact`` is then ``None``.  Otherwise it is
+        ``(metric, a, b, base, VT, AT)``, one column per slot.  A store
+        that newly passes the gate, or whose Hamming alphabet changed,
+        rewrites every column; otherwise only ``slots``' columns change.
+        """
+        rows = self._rows(slots)
+        valid = rows == rows           # False exactly at NaN (don't-care)
+        if self.metric == "hamming":
+            # fmin/fmax skip NaN, so an all-don't-care row is NaN: neutral.
+            lo = np.fmin.reduce(rows, axis=1)
+            hi = np.fmax.reduce(rows, axis=1)
+            ok = (
+                (rows == lo[:, None]) | (rows == hi[:, None]) | ~valid
+            ).all(axis=1)
+            lo[~alive] = np.nan
+            hi[~alive] = np.nan
+            self._lo[slots] = lo
+            self._hi[slots] = hi
+        else:
+            ok = (
+                ~valid
+                | ((rows == np.rint(rows)) & (np.abs(rows) <= _EXACT_MAX))
+            ).all(axis=1)
+        ok[~alive] = True
+        self._ok[slots] = ok
+        key = self._gate()
+        if key is None:
+            self.exact = None
+            return
+        if self.exact is None or self.exact[1:3] != key:
+            # The gate just engaged, or the Hamming alphabet changed:
+            # every column is rewritten.
+            if slots.size < self.capacity:
+                rows = self._rows(np.arange(self.capacity))
+                valid = rows == rows
+            slots = slice(None)
+            shape = (self.features, self.capacity)
+            plain = self.metric == "dot"
+            base = None if plain else np.empty(self.capacity)
+            vt = None if plain else np.empty(shape)
+            at = np.empty(shape)
+        else:
+            base, vt, at = self.exact[3:]
+        a, b = key
+        if self.metric == "hamming":
+            sb = ((rows == b) & valid).astype(np.float64)
+            base[slots] = sb.sum(axis=1)
+            vt[:, slots] = valid.T
+            at[:, slots] = sb.T
+        else:
+            cleaned = np.where(valid, rows, 0.0)
+            at[:, slots] = cleaned.T
+            if self.metric == "euclidean":
+                base[slots] = (cleaned * cleaned).sum(axis=1)
+                vt[:, slots] = valid.T
+        self.exact = (self.metric, a, b, base, vt, at)
+
+    def _gate(self) -> Optional[Tuple[float, float]]:
+        """``(a, b)`` when the live rows pass the exact gate, else ``None``
+        (``a``/``b`` are the Hamming alphabet, zeros otherwise)."""
+        if not self._ok.all():
+            return None
+        if self.metric != "hamming":
+            return 0.0, 0.0
+        # Each row that passes holds at most the two values lo and hi;
+        # the store's alphabet is the union over the live rows (NaN
+        # marks a row without any).
+        has = self._lo == self._lo
+        values = np.unique(np.concatenate((self._lo[has], self._hi[has])))
+        if values.size != 2:
+            return None
+        return float(values[0]), float(values[1])
+
+    def _schedule(self, session) -> None:
+        """Recompute the per-query charges and the live-slot set."""
+        spec, tech = session.spec, session.tech
+        plan = session.program.plan
+        alive = session._alive[: self.capacity]
+        search_charges: List[Tuple[object, float]] = []
+        read_charges: List[float] = []
+        merge_charges: List[float] = []
+        for s0, s1, _row0, tiles in self._units:
+            pj = tech.search_energy(
+                spec, int(np.count_nonzero(alive[s0:s1])), self.stacked
+            )
+            search_charges.extend((sub, pj) for sub, _store in tiles)
+            if not self.stacked:
+                window = s1 - s0
+                used = max(0, min(window, session._next_slot - s0))
+                read_charges.extend(
+                    [tech.read_energy(spec, window)] * len(tiles)
+                )
+                merge_charges.extend(
+                    [tech.merge_energy("subarray", used)] * len(tiles)
+                )
+        if self.stacked:
+            # The unfused walk reads and merges *every* allocated
+            # subarray of the plan, tiles or not.
+            read_charges = [
+                tech.read_energy(spec, plan.patterns)
+            ] * plan.subarrays
+            merge_charges = [
+                tech.merge_energy("subarray", plan.patterns)
+            ] * plan.subarrays
+        for level in ("array", "mat", "bank"):
+            merge_charges.append(tech.merge_energy(level, plan.patterns))
         #: ``(SubarrayState, energy_pj_per_query)`` per searched tile,
         #: in the unfused walk's tile order.
         self.search_charges = search_charges
         self.read_charges = read_charges
         self.merge_charges = merge_charges
-        self.host_energy = host_energy
-        #: Exact-arithmetic matmul rewrite of the metric, or ``None``
-        #: (see :func:`_exact_kernel`); gated per batch on the query
-        #: values, with the per-slice loop as the always-correct
-        #: fallback.
-        self.exact = _exact_kernel(
-            metric, _assemble_store(slices, stacked, n_alive, features)
-        )
+        n_alive = int(np.count_nonzero(alive))
+        self.n_alive = n_alive
+        #: Live slots in slot order, or ``None`` when every slot is live
+        #: (the gather is then skipped).
+        self.live = None if n_alive == self.capacity else np.flatnonzero(alive)
+        self.host_energy = tech.host_topk_energy(n_alive) if n_alive else 0.0
 
+    # ------------------------------------------------------------ execute
     def execute(
         self, queries: np.ndarray, k: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -219,11 +377,11 @@ class FusedPlan:
         """
         n_queries = queries.shape[0]
         n_alive = self.n_alive
-        # --- score: exact matmul rewrite when the batch qualifies,
-        #     else one vectorized metric call per column slice ----------
+        # --- score every slot: exact matmul rewrite when the batch
+        #     qualifies, else one vectorized metric call per slice ------
         scores = self._exact_scores(queries) if self.exact else None
         if scores is None:
-            scores = np.zeros((n_queries, n_alive), dtype=np.float64)
+            scores = np.zeros((n_queries, self.capacity), dtype=np.float64)
             metric = self.metric
             if self.stacked:
                 # Two-level accumulation mirrors the machine: each
@@ -231,7 +389,7 @@ class FusedPlan:
                 # batches first, then partials merge across subarrays.
                 for sub_slices in self.slices:
                     partial = np.zeros(
-                        (n_queries, n_alive), dtype=np.float64
+                        (n_queries, self.capacity), dtype=np.float64
                     )
                     for c0, c1, store in sub_slices:
                         partial += compute_scores(
@@ -243,6 +401,9 @@ class FusedPlan:
                     scores += compute_scores(
                         metric, store, queries[:, c0:c1]
                     )
+        # --- gather: the live slots, in slot (== id) order -------------
+        if self.live is not None:
+            scores = scores[:, self.live]
         # --- charge: the traced per-query schedule ---------------------
         machine = self.machine
         energy = machine.energy
@@ -271,9 +432,9 @@ class FusedPlan:
         return values, indices, scores
 
     def _exact_scores(self, queries: np.ndarray):
-        """Score via the exact-arithmetic rewrite, or ``None``.
+        """Score every slot via the exact-arithmetic rewrite, or ``None``.
 
-        The stored side passed the gate at trace time; here the query
+        The stored side passed the gate at refresh time; here the query
         batch must too — every value in the alphabet (hamming) or an
         exact small integer (euclidean/dot).  A batch that fails scores
         through the generic per-slice loop instead, bit-identically.
@@ -293,129 +454,9 @@ class FusedPlan:
         return base + (queries * queries) @ vt - 2.0 * (queries @ at)
 
 
-def _stacked_plan(session) -> Optional[FusedPlan]:
-    """Trace a density-stacked (accumulator) store."""
-    program = session.program
-    plan = program.plan
-    machine, spec, tech = session.machine, session.spec, session.tech
-    features = plan.features
-    window = plan.patterns
-    alive = session._alive[: session._capacity]
-    n_alive = int(alive.sum())
-    search_charges: List[Tuple[object, float]] = []
-    per_sub: dict = {}
-    order: List[int] = []
-    for lin, batch, (_rp, cp) in program.tiles():
-        sub = machine.subarray(session._sub_ids[lin])
-        row_begin = batch * window
-        if not np.array_equal(sub.valid_mask(row_begin, window), alive):
-            return None
-        c0 = cp * plan.col_tile
-        c1 = min(c0 + plan.col_tile, features)
-        store = np.ascontiguousarray(
-            sub.stored(row_begin, window)[:, : c1 - c0]
-        )
-        if lin not in per_sub:
-            per_sub[lin] = []
-            order.append(lin)
-        per_sub[lin].append((c0, c1, store))
-        search_charges.append(
-            (sub, tech.search_energy(spec, store.shape[0], True))
-        )
-    # The unfused walk reads and merges *every* allocated subarray of
-    # the plan, tiles or not.
-    read_pj = tech.read_energy(spec, window)
-    merge_pj = tech.merge_energy("subarray", min(window, plan.patterns))
-    read_charges = [read_pj] * plan.subarrays
-    merge_charges = [merge_pj] * plan.subarrays
-    for level in ("array", "mat", "bank"):
-        merge_charges.append(tech.merge_energy(level, plan.patterns))
-    return FusedPlan(
-        machine=machine,
-        metric=program.metric,
-        stacked=True,
-        slices=[per_sub[lin] for lin in order],
-        features=features,
-        n_alive=n_alive,
-        largest=program.largest,
-        wta_window=tech.wta_window,
-        search_charges=search_charges,
-        read_charges=read_charges,
-        merge_charges=merge_charges,
-        host_energy=tech.host_topk_energy(n_alive) if n_alive else 0.0,
-    )
-
-
-def _tiled_plan(session) -> Optional[FusedPlan]:
-    """Trace a row-group (latch-path) store, growth groups included."""
-    program = session.program
-    plan = program.plan
-    machine, spec, tech = session.machine, session.spec, session.tech
-    features = plan.features
-    col_tiles = plan.col_tiles
-    n_alive = int(session._alive[: session._next_slot].sum())
-    parts: List[List[np.ndarray]] = [[] for _ in range(col_tiles)]
-    search_charges: List[Tuple[object, float]] = []
-    read_charges: List[float] = []
-    merge_charges: List[float] = []
-    for group in session._row_groups:
-        window = group.window
-        group_alive = session._alive[
-            group.base_slot : group.base_slot + window
-        ]
-        live = None
-        for cp, sub_id in enumerate(group.subs):
-            sub = machine.subarray(sub_id)
-            if not np.array_equal(sub.valid_mask(0, window), group_alive):
-                return None
-            c0 = cp * plan.col_tile
-            c1 = min(c0 + plan.col_tile, features)
-            store = sub.stored(0, window)[:, : c1 - c0]
-            live = store.shape[0]
-            parts[cp].append(store)
-            search_charges.append(
-                (sub, tech.search_energy(spec, live, False))
-            )
-        used = max(
-            0, min(window, session._next_slot - group.base_slot)
-        )
-        read_pj = tech.read_energy(spec, window)
-        merge_pj = tech.merge_energy("subarray", used)
-        for _ in group.subs:
-            read_charges.append(read_pj)
-            merge_charges.append(merge_pj)
-    slices = []
-    for cp in range(col_tiles):
-        c0 = cp * plan.col_tile
-        c1 = min(c0 + plan.col_tile, features)
-        store = (
-            np.ascontiguousarray(np.vstack(parts[cp]))
-            if parts[cp]
-            else np.zeros((0, c1 - c0), dtype=np.float64)
-        )
-        if store.shape[0] != n_alive:
-            return None
-        slices.append((c0, c1, store))
-    for level in ("array", "mat", "bank"):
-        merge_charges.append(tech.merge_energy(level, plan.patterns))
-    return FusedPlan(
-        machine=machine,
-        metric=program.metric,
-        stacked=False,
-        slices=slices,
-        features=features,
-        n_alive=n_alive,
-        largest=program.largest,
-        wta_window=tech.wta_window,
-        search_charges=search_charges,
-        read_charges=read_charges,
-        merge_charges=merge_charges,
-        host_energy=tech.host_topk_energy(n_alive) if n_alive else 0.0,
-    )
-
-
 def build_fused_plan(session) -> Optional[FusedPlan]:
-    """Trace ``session``'s query pipeline into a :class:`FusedPlan`.
+    """Trace ``session``'s query pipeline into a :class:`FusedPlan`:
+    allocate the plan, then refresh every slot.
 
     Returns ``None`` when the session cannot be fused — unknown metric,
     or the machine's valid rows disagree with the session's slot
@@ -425,6 +466,5 @@ def build_fused_plan(session) -> Optional[FusedPlan]:
     """
     if session.program.metric not in METRIC_FUNCTIONS:
         return None
-    if session.program.plan.batches > 1:
-        return _stacked_plan(session)
-    return _tiled_plan(session)
+    plan = FusedPlan(session)
+    return plan if plan.refresh(session, range(session._capacity)) else None

@@ -38,9 +38,11 @@ patterns.
 Batches are served **fused** by default (``fused=True``): the fixed
 post-programming pipeline is traced once into a
 :class:`~repro.runtime.fused.FusedPlan` (built lazily at the first
-:meth:`~QuerySession.run_batch`, invalidated by every mutation and
-``grow``) and replayed as one flat NumPy kernel — bitwise identical to
-the per-stage walk in results and in energy/latency accounting.
+:meth:`~QuerySession.run_batch`) and replayed as one flat NumPy kernel —
+bitwise identical to the per-stage walk in results and in energy/latency
+accounting.  A mutation marks the plan stale and records the slots it
+wrote or erased; the next batch refreshes just those slots of the plan in
+place (a ``grow`` re-traces it in full).
 ``fused=False`` retains the unfused walk as the differential oracle,
 and ``noise_sigma > 0`` bypasses the plan automatically.
 """
@@ -226,8 +228,12 @@ class QuerySession(ExecutionBackend):
         self.fused = bool(fused)
         #: Batches answered by the fused plan (vs. the unfused walk).
         self.fused_runs = 0
-        # None = rebuild on next batch; False = this store cannot fuse.
+        # None = trace on the next batch; False = this store cannot fuse.
         self._fused_plan = None
+        # Set by every mutation: the plan must be refreshed before the
+        # next fused batch, re-reading the slots written or erased since.
+        self._plan_stale = False
+        self._touched_slots: set = set()
         self._program_machine()
         self._init_mutable_store(compact_threshold)
 
@@ -455,9 +461,9 @@ class QuerySession(ExecutionBackend):
         self.setup_energy_pj += machine.energy.write - snapshot[0]
         self.rows_written += machine.rows_written - snapshot[1]
         self.setup_latency_ns += duration
-        # The mutation changed the live-row set the fused plan traced;
-        # drop it and rebuild lazily on the next batch.
-        self._fused_plan = None
+        # The mutation changed rows or the slot directory the fused plan
+        # traced; the next batch refreshes it.
+        self._plan_stale = True
 
     def _slot_group(self, slot: int) -> _RowGroup:
         for group in self._row_groups:
@@ -487,6 +493,7 @@ class QuerySession(ExecutionBackend):
                 yield sub, row, c0, min(c0 + plan.col_tile, features)
 
     def _write_slot(self, slot: int, row: np.ndarray) -> float:
+        self._touched_slots.add(slot)
         duration = 0.0
         for sub, r, c0, c1 in self._slot_tiles(slot):
             duration += self.machine.write_value(
@@ -495,6 +502,7 @@ class QuerySession(ExecutionBackend):
         return duration
 
     def _erase_slot(self, slot: int) -> float:
+        self._touched_slots.add(slot)
         duration = 0.0
         for sub, r, _c0, _c1 in self._slot_tiles(slot):
             duration += self.machine.erase(
@@ -560,7 +568,7 @@ class QuerySession(ExecutionBackend):
         self._slot_ids.extend([-1] * spec.rows)
         self._capacity += spec.rows
         self._growth_groups += 1
-        self._fused_plan = None
+        self._plan_stale = True
 
     def _free_slot(self) -> int:
         if self._next_slot >= self._capacity and self._dead:
@@ -795,13 +803,20 @@ class QuerySession(ExecutionBackend):
                 f"kernel's feature dimension {plan.features}"
             )
         if self.fused and self.noise_sigma == 0.0:
-            # Fused fast path: trace once, execute flat.  Noise keeps
-            # the unfused walk (draws are per-machine-call); a store the
-            # tracer cannot validate falls back permanently (False).
+            # Fused fast path: trace once, refresh the touched slots
+            # after mutations, execute flat.  Noise keeps the unfused
+            # walk (draws are per-machine-call); a store the tracer
+            # cannot validate falls back to it (False) until the next
+            # mutation.
             fused_plan = self._fused_plan
-            if fused_plan is None:
-                fused_plan = build_fused_plan(self)
-                self._fused_plan = fused_plan if fused_plan else False
+            if fused_plan and self._plan_stale:
+                if not fused_plan.refresh(self, self._touched_slots):
+                    fused_plan = False
+            elif fused_plan is None or self._plan_stale:
+                fused_plan = build_fused_plan(self) or False
+            self._fused_plan = fused_plan
+            self._plan_stale = False
+            self._touched_slots.clear()
             if fused_plan:
                 return self._run_batch_fused(fused_plan, queries)
         n_queries = queries.shape[0]

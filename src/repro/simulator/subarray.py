@@ -91,24 +91,17 @@ class SubarrayState:
         """Number of rows holding written patterns."""
         return int(self._valid.sum())
 
-    def valid_mask(self, row_begin: int = 0, row_count: int = -1) -> np.ndarray:
-        """Copy of the valid bits over a row window.
+    def row_contents(
+        self, rows: np.ndarray, cols: int
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Copies of the given rows' first ``cols`` cells and valid bits.
 
-        The ground truth a :class:`~repro.runtime.fused.FusedPlan`
-        validates against before snapshotting stored tiles: a fused
-        kernel may only serve rows the machine itself would search.
+        What a :class:`~repro.runtime.fused.FusedPlan` reads when it
+        refreshes a slot; the valid bits are the ground truth it checks
+        against the session's slot directory, because a fused kernel may
+        only serve rows the machine itself would search.
         """
-        if row_count < 0:
-            row_count = self.rows - row_begin
-        return self._valid[row_begin : row_begin + row_count].copy()
-
-    def stored(self, row_begin: int = 0, row_count: int = -1) -> np.ndarray:
-        """The stored pattern window (valid rows only within the window)."""
-        if row_count < 0:
-            row_count = self.rows - row_begin
-        window = self._data[row_begin : row_begin + row_count]
-        mask = self._valid[row_begin : row_begin + row_count]
-        return window[mask]
+        return self._data[rows, :cols], self._valid[rows]
 
     # -------------------------------------------------------------- search
     def _ensure_batch(self, batch: int) -> None:

@@ -35,6 +35,7 @@ from repro.arch.technology import FEFET_45NM
 from repro.compiler import C4CAMCompiler
 from repro.frontend import placeholder
 from repro.runtime.cluster import Cluster
+from repro.runtime.fused import build_fused_plan
 from repro.runtime.sharding import ShardedSession, build_shard_set
 
 FEATURES = 8
@@ -455,17 +456,52 @@ def test_mutate_during_serve(seed):
 
 
 # --------------------------------------------------------------------------
-# FusedPlan invalidation: mutations interleaved with fused batches
+# FusedPlan refresh: mutations interleaved with fused batches
 # --------------------------------------------------------------------------
+
+
+def _assert_same_plan(got, want):
+    """``got`` (a session's refreshed plan) equals ``want`` (a fresh
+    trace of the same session) byte for byte: stores, exact operands
+    (tombstoned columns included), charge lists (the same subarray
+    objects), ``n_alive``, ``host_energy`` and the live-slot set.  A
+    store that cannot fuse is ``False`` on the session, ``None`` fresh."""
+    if not want:
+        assert got is False
+        return
+    for name in ("stacked", "capacity", "features", "n_alive",
+                 "host_energy", "search_charges", "read_charges",
+                 "merge_charges"):
+        assert getattr(got, name) == getattr(want, name), name
+    assert (got.live is None) == (want.live is None)
+    if want.live is not None:
+        np.testing.assert_array_equal(got.live, want.live)
+
+    def stores(plan):
+        slices = plan.slices
+        return [t for sub in slices for t in sub] if plan.stacked else slices
+
+    assert len(stores(got)) == len(stores(want))
+    for (g0, g1, g), (w0, w1, w) in zip(stores(got), stores(want)):
+        assert (g0, g1) == (w0, w1)
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert (got.exact is None) == (want.exact is None)
+    if want.exact is not None:
+        assert got.exact[:3] == want.exact[:3]
+        for g, w in zip(got.exact[3:], want.exact[3:]):
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 @pytest.mark.parametrize("seed", range(20))
 def test_fused_invalidation_matches_unfused_oracle(seed):
     """Random mutation schedules interleaved with fused ``run_batch``:
-    every mutation must drop the cached :class:`FusedPlan`, and every
-    rebuilt plan must stay bitwise identical — results, candidate
-    values and the full energy/latency accounting — to the retained
-    unfused session walk driven through the same schedule."""
+    every mutation must keep the session's :class:`FusedPlan` object
+    (the next batch refreshes it in place, equal to a fresh trace), and
+    every refreshed plan must stay bitwise identical — results,
+    candidate values and the full energy/latency accounting — to the
+    retained unfused session walk driven through the same schedule."""
     rng = np.random.default_rng(654_000 + seed)
     k = int(rng.integers(1, 4))
     stored = _rows(rng, int(rng.integers(k + 2, 10)))
@@ -490,31 +526,36 @@ def test_fused_invalidation_matches_unfused_oracle(seed):
             == oracle.last_report.query_latency_ns
         )
         assert fused.last_report.searches == oracle.last_report.searches
+        _assert_same_plan(fused._fused_plan, build_fused_plan(fused))
 
     class _Tandem:
         """Apply every mutation to both sessions, keeping them in step."""
 
         def insert(self, rows):
+            plan = fused._fused_plan
             ids = fused.insert(rows)
             assert oracle.insert(rows) == ids
-            # Any mutation must invalidate the cached plan.
-            assert fused._fused_plan is None
+            # A mutation keeps the plan; the next batch refreshes it.
+            assert fused._fused_plan is plan
             return ids
 
         def delete(self, ids):
+            plan = fused._fused_plan
             fused.delete(ids)
             oracle.delete(ids)
-            assert fused._fused_plan is None
+            assert fused._fused_plan is plan
 
         def update(self, gid, row):
+            plan = fused._fused_plan
             fused.update(gid, row)
             oracle.update(gid, row)
-            assert fused._fused_plan is None
+            assert fused._fused_plan is plan
 
         def compact(self):
+            plan = fused._fused_plan
             fused.compact()
             oracle.compact()
-            assert fused._fused_plan is None
+            assert fused._fused_plan is plan
 
         @property
         def pattern_count(self):
@@ -549,3 +590,196 @@ def test_store_state_snapshots_survive_fusion():
         got = fresh.run_batch(queries)
         np.testing.assert_array_equal(got[0], expected[0])
         np.testing.assert_array_equal(got[1], expected[1])
+
+
+def _report_tuple(report):
+    """The accounting surface a fused run must reproduce exactly."""
+    e = report.energy
+    return (
+        report.query_latency_ns, report.setup_latency_ns,
+        report.searches, report.search_cycles, report.rows_written,
+        e.search, e.read, e.merge, e.host, e.write, e.standby,
+    )
+
+
+def _query_sessions(store):
+    """The query sessions (one fused plan each) behind ``store``."""
+    for attr in ("replicas", "sessions"):
+        inner = getattr(store, attr, None)
+        if inner is not None:
+            return [leaf for s in inner for leaf in _query_sessions(s)]
+    return [store]
+
+
+def _serve(store, queries):
+    """Serve ``queries`` once on every replica (once on any other store):
+    ``[values, indices, last_values..., report tuple]`` per serving copy,
+    with one ``last_values`` per query session."""
+    replicas = getattr(store, "replicas", [store])
+    served = []
+    for i, replica in enumerate(replicas):
+        if replica is store:
+            outputs = store.run_batch(queries)
+        else:
+            outputs = store.run_on(i, queries)
+        outputs += [s.last_values for s in _query_sessions(replica)]
+        served.append(outputs + [_report_tuple(replica.last_report)])
+    return served
+
+
+def _assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert len(g) == len(w)
+        for a, b in zip(g[:-1], w[:-1]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert g[-1] == w[-1]
+
+
+def _refresh_pair(kind, stored, k):
+    """``(fused, oracle)`` stores of ``kind`` over ``stored``.
+
+    Every kind but ``analog`` is a binary TCAM, where ±1 dot similarity
+    legalizes to Hamming: the kernel whose exact rewrite is gated on a
+    two-value stored alphabet."""
+    tcam = paper_spec(rows=8, cols=8)
+    if kind == "sharded":
+        spec = replace(tcam, banks=2)
+        return tuple(
+            ShardedSession(
+                build_shard_set(
+                    np.asarray(stored, dtype=np.float32), 1, "dot", k, True,
+                    spec, num_shards=2,
+                ),
+                spec, FEFET_45NM, fused=fused,
+            )
+            for fused in (True, False)
+        )
+    spec, options = {
+        "analog": (_spec(), {}),
+        "replicated": (tcam, {"num_replicas": 2}),
+        "stacked": (
+            paper_spec(rows=32, cols=4, optimization_target="density"), {}
+        ),
+    }.get(kind, (tcam, {}))
+    return tuple(
+        _compile(stored, k, spec, fused=fused, **options).session()
+        for fused in (True, False)
+    )
+
+
+@pytest.mark.parametrize("kind", ["bipolar", "analog", "replicated",
+                                  "sharded", "stacked"])
+@pytest.mark.parametrize("seed", range(20))
+def test_refreshed_plan_equals_fresh_trace(seed, kind):
+    """After every mutation and batch, every session's refreshed
+    :class:`FusedPlan` equals a fresh trace of it and serves bitwise like
+    the unfused oracle (values, indices, ``last_values``, report).
+
+    Random schedules of insert (growth included), delete, update,
+    compact and ``restore``, plus three scripted steps: every row
+    tombstoned then refilled; an explicit ``compact()`` of a store whose
+    only tombstones are at the tail, which moves no row but lowers the
+    high-water slot and with it the subarray merge charges; and a
+    touched row whose valid bit is set behind the session's back, which
+    must disengage the plan.  On ±1 stores the exact rewrite must stay
+    engaged whenever the *live* rows hold two values: tombstoned slots
+    hold zeros, which the alphabet gate must not count.
+    """
+    rng = np.random.default_rng(88_000 + seed)
+    bipolar = kind != "analog"
+    k = int(rng.integers(1, 4))
+    n0 = int(rng.integers(k + 3, 12))
+    stored = _rows(rng, n0, tie_heavy=bipolar)
+    fused, oracle = _refresh_pair(kind, stored, k)
+    if kind == "stacked":
+        assert fused.program.plan.batches > 1
+    live = {gid: row for gid, row in zip(fused.row_ids(), stored)}
+    room = n0 if kind == "stacked" else 28
+    snapshot = fused.store_state()
+
+    def both(op, *args):
+        got = getattr(fused, op)(*args)
+        assert getattr(oracle, op)(*args) == got
+        return got
+
+    def serve():
+        queries = _queries(rng, tie_heavy=bipolar)
+        _assert_bitwise(_serve(fused, queries), _serve(oracle, queries))
+        for session in _query_sessions(fused):
+            plan = session._fused_plan
+            _assert_same_plan(plan, build_fused_plan(session))
+            rows = [session.pattern(i) for i in session.row_ids()]
+            if bipolar and np.unique(rows).size == 2:
+                assert plan.exact is not None, "alphabet gate disengaged"
+        assert fused.row_ids() == oracle.row_ids() == sorted(live)
+
+    def insert(count):
+        rows = _rows(rng, min(count, room - len(live)), tie_heavy=bipolar)
+        if len(rows):
+            live.update(zip(both("insert", rows), rows))
+
+    def delete(victims):
+        both("delete", [int(g) for g in victims])
+        for gid in victims:
+            del live[int(gid)]
+
+    serve()
+    steps = list(rng.choice(
+        ["insert", "delete", "update", "compact", "restore", "snapshot"],
+        12, p=[0.3, 0.25, 0.15, 0.1, 0.1, 0.1],
+    )) + ["refill", "tail"]
+    for step in rng.permutation(steps):
+        if step == "insert":
+            insert(int(rng.integers(1, 4)))
+        elif step == "delete" and live:
+            count = int(rng.integers(1, len(live) + 1))
+            delete(rng.choice(sorted(live), size=count, replace=False))
+        elif step == "update" and live:
+            gid = int(rng.choice(sorted(live)))
+            row = _rows(rng, 1, tie_heavy=bipolar)[0]
+            both("update", gid, row)
+            live[gid] = row
+        elif step == "compact":
+            both("compact")
+        elif step == "snapshot":
+            snapshot = fused.store_state()
+        elif step == "restore":
+            both("restore", snapshot)
+            live = {gid: row for gid, row in snapshot.rows}
+        elif step == "refill":
+            delete(sorted(live))
+            serve()
+            insert(n0)
+        elif step == "tail":
+            # Pack, then tombstone only the highest slots: compact()
+            # moves nothing but lowers the high-water slot.
+            while len(live) < 4:
+                insert(4)
+            both("compact")
+            serve()
+            delete(sorted(live)[-int(rng.integers(1, 3)):])
+            serve()
+            assert both("compact") == 0
+        serve()
+
+    # A touched slot whose valid bit disagrees with the slot directory
+    # disengages the plan: the batch takes the unfused walk, bitwise the
+    # oracle's walk over the same tampered machine, and a fresh trace
+    # refuses the store too.
+    leaves = [_query_sessions(store)[0] for store in (fused, oracle)]
+    refill = _rows(rng, 1, tie_heavy=bipolar)
+    for session in leaves:
+        if not session.row_ids():
+            session.insert(refill)
+        session.delete(session.row_ids()[:1])
+    slot = max(s for s in leaves[0]._touched_slots
+               if not leaves[0]._alive[s])
+    for session in leaves:
+        sub, row, c0, c1 = next(session._slot_tiles(slot))
+        session.machine.write_value(sub, np.ones(c1 - c0), row_offset=row)
+    queries = _queries(rng, tie_heavy=bipolar)
+    _assert_bitwise(_serve(leaves[0], queries), _serve(leaves[1], queries))
+    assert leaves[0]._fused_plan is False
+    assert build_fused_plan(leaves[0]) is None

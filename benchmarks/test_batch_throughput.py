@@ -8,9 +8,10 @@ so serving a 64-query batch must beat 64 sequential legacy calls by a
 wide margin in wall-clock throughput while returning bitwise-identical
 results.
 
-Asserted: >= 5x wall-clock throughput at batch 64 (the PR's acceptance
-floor — the vectorized path typically lands far above it), setup energy
-charged once per session, and bitwise output equality.  The
+Asserted: >= 5x wall-clock throughput at batch 64, best of 5
+interleaved repetitions per side (the acceptance floor — the vectorized
+path typically lands far above it), setup energy charged once per
+session, and bitwise output equality.  The
 ``test_bench_*`` entries extend the existing pytest-benchmark
 trajectory.
 """
@@ -33,6 +34,7 @@ pytestmark = [pytest.mark.benchmark, pytest.mark.slow]
 BATCH = 64
 PATTERNS = 16
 DIMS = 1024
+REPS = 5
 
 
 def _dot_model(stored, k=1):
@@ -75,23 +77,25 @@ def _run_sequential(kernel, queries):
 
 
 def test_batch_throughput_5x(workload):
-    """One session batch beats 64 legacy per-call executions >= 5x."""
+    """One session batch beats 64 legacy per-call executions >= 5x —
+    best of REPS interleaved repetitions each."""
     batched, legacy = workload["batched"], workload["legacy"]
     queries = workload["queries"]
 
     # Warm both paths (session setup walk, numpy/JIT caches) before
     # taking wall-clock measurements.
-    bv, bi = batched.run_batch(queries)
-    sv, si = _run_sequential(legacy, queries[:2])
+    batched.run_batch(queries)
+    _run_sequential(legacy, queries[:2])
 
-    t0 = time.perf_counter()
-    bv, bi = batched.run_batch(queries)
-    batch_s = time.perf_counter() - t0
+    batch_s = seq_s = float("inf")
+    for _ in range(REPS):
+        t0 = time.perf_counter()
+        bv, bi = batched.run_batch(queries)
+        batch_s = min(batch_s, time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        sv, si = _run_sequential(legacy, queries)
+        seq_s = min(seq_s, time.perf_counter() - t0)
     batch_report = batched.last_report
-
-    t0 = time.perf_counter()
-    sv, si = _run_sequential(legacy, queries)
-    seq_s = time.perf_counter() - t0
 
     speedup = seq_s / batch_s
     print_series(

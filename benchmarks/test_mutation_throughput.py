@@ -10,11 +10,12 @@ against a large store the incremental path must win by a wide margin in
 wall clock while staying bitwise identical to the rebuilt deployment.
 
 Asserted: >= 5x wall-clock for a 4-row insert vs. reset-and-reprogram
-of the grown store (the PR's acceptance floor — the incremental path
-typically lands far above it), fewer rows written than a full program,
-bitwise output equality, and that tombstone density past
-``compact_threshold`` actually triggers a compaction.  The
-``test_bench_*`` entry extends the pytest-benchmark trajectory.
+of the grown store, best of 5 interleaved repetitions per side (the
+acceptance floor — the incremental path typically lands far above it),
+fewer rows written than a full program, bitwise output equality, and
+that tombstone density past ``compact_threshold`` actually triggers a
+compaction.  The ``test_bench_*`` entry extends the pytest-benchmark
+trajectory.
 """
 
 import time
@@ -36,6 +37,7 @@ PATTERNS = 192
 DELTA = 4
 DIMS = 512
 BATCH = 4
+REPS = 5
 
 
 def _dot_model(stored, k=1):
@@ -68,27 +70,31 @@ def workload():
 
 
 def test_incremental_insert_5x(workload):
-    """A 4-row insert beats re-programming the grown store >= 5x."""
+    """A 4-row insert beats re-programming the grown store >= 5x —
+    best of REPS interleaved repetitions each."""
     stored, delta = workload["stored"], workload["delta"]
     queries = workload["queries"]
 
-    incremental = _compile(stored)
     rebuilt = _compile(np.vstack([stored, delta]))
-    # Warm both paths: programs the base store / the grown store once.
-    incremental.run_batch(queries)
-    rebuilt.run_batch(queries)
+    rebuilt.run_batch(queries)   # warm: programs the grown store once
 
     # Timed: bringing the machine to the grown store — the incremental
     # path writes the 4 new rows, the baseline re-runs the full setup
     # walk.  Query serving afterwards is identical, so it stays untimed.
-    t0 = time.perf_counter()
-    ids = incremental.insert(delta)
-    incr_s = time.perf_counter() - t0
+    # The insert mutates its store, so every repetition inserts into a
+    # freshly compiled and warmed base kernel, built outside the timing.
+    incr_s = full_s = float("inf")
+    for _ in range(REPS):
+        incremental = _compile(stored)
+        incremental.run_batch(queries)   # warm: programs the base store
+        t0 = time.perf_counter()
+        ids = incremental.insert(delta)
+        incr_s = min(incr_s, time.perf_counter() - t0)
 
-    t0 = time.perf_counter()
-    rebuilt.reset()      # drops the session ...
-    rebuilt.session()    # ... full setup walk programs every row again
-    full_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        rebuilt.reset()      # drops the session ...
+        rebuilt.session()    # ... full setup walk programs every row again
+        full_s = min(full_s, time.perf_counter() - t0)
 
     iv, ii = incremental.run_batch(queries)
     rv, ri = rebuilt.run_batch(queries)

@@ -15,9 +15,8 @@ both layouts.  Floors asserted:
 
 * the hot tenant's p99 request latency under FFD is >= 1.3x its p99
   under cost placement, at equal machine count;
-* the autotuner ranks the cost layout at or below the FFD layout for
-  this trace, and its emitted plan rebuilds through
-  ``Cluster.from_plan`` into the identical placement.
+* the fleet's worst-tenant p99 improves by the same floor, so the win
+  is interference removal, not a shuffle of who waits.
 """
 
 from dataclasses import replace
@@ -28,9 +27,12 @@ import pytest
 from repro.arch import dse_spec
 from repro.compiler import C4CAMCompiler
 from repro.frontend import placeholder
-from repro.runtime import Cluster
-from repro.runtime.autotune import TrafficTrace, autotune
-from repro.runtime.costmodel import PlacementCost, TenantProfile, TrafficHint
+from repro.runtime.costmodel import (
+    PlacementCost,
+    TenantProfile,
+    TrafficHint,
+    TrafficTrace,
+)
 from repro.runtime.placement import plan_placement, tenant_demand
 
 from harness import print_series
@@ -119,7 +121,6 @@ def fleet():
     ))
     model = PlacementCost(profiles, hints=trace.as_dict())
     return {
-        "stores": stores,
         "kernels": kernels,
         "model": model,
         "trace": trace,
@@ -175,35 +176,3 @@ def test_cost_placement_beats_ffd_hot_p99(fleet):
     # The win is interference removal, not a shuffle: the fleet's
     # worst-tenant p99 improves by the same floor.
     assert max(p99_us["ffd"]) >= P99_FLOOR * max(p99_us["cost"])
-
-
-def test_autotuner_prefers_and_replays_cost_layout(fleet):
-    models = {tid: _dot_model(fleet["stores"][tid]) for tid in TENANTS}
-    inputs = {tid: [placeholder((1, 64))] for tid in TENANTS}
-    result = autotune(
-        models, inputs, fleet["trace"], presets={"soak": SPEC},
-    )
-    by_policy = {c.policy: c for c in result.candidates}
-    assert by_policy["cost"].predicted.total <= by_policy["ffd"].predicted.total
-    assert by_policy["cost"].machines == by_policy["ffd"].machines
-
-    # The emitted plan replays into the identical fleet, bitwise.
-    rng = np.random.default_rng(7)
-    queries = {
-        tid: rng.choice([-1.0, 1.0], (3, 64)).astype(np.float32)
-        for tid in TENANTS
-    }
-    with Cluster.from_plan(result.plan, result.kernels) as rebuilt:
-        assert rebuilt.plan() == result.plan
-        spans = rebuilt.bank_spans()
-        for entry in result.plan["placement"]:
-            assert spans[entry["tenant_id"]] == (
-                entry["machine_index"],
-                entry["bank_offset"],
-                entry["banks"],
-            )
-        for tid in TENANTS:
-            values, indices = rebuilt.run_batch(queries[tid], tenant=tid)
-            solo_v, solo_i = result.kernels[tid].run_batch(queries[tid])
-            np.testing.assert_array_equal(values, solo_v)
-            np.testing.assert_array_equal(indices, solo_i)

@@ -89,14 +89,6 @@ def make_parser() -> argparse.ArgumentParser:
         "honours --banks and --batch",
     )
     p.add_argument(
-        "--autotune", type=int, metavar="K",
-        help="demo the traffic-driven autotuner: compile K tenants, "
-        "describe a Zipf-skewed traffic trace, search arch preset x "
-        "placement policy for the lowest predicted SLO-weighted cost, "
-        "emit the winning fleet as a reproducible plan and rebuild it "
-        "via Cluster.from_plan (honours --banks as the machine cap)",
-    )
-    p.add_argument(
         "--priority", type=int, default=1, metavar="P",
         help="priority class the --cluster demo's urgent tenants "
         "submit at (higher dispatches first; default 1)",
@@ -354,85 +346,6 @@ def run_cluster_demo(args, spec: ArchSpec) -> int:
     return 0
 
 
-def run_autotune_demo(args, spec: ArchSpec) -> int:
-    """``--autotune K``: schedule the fleet for the traffic, not the fit.
-
-    Compiles K dot-similarity tenants of growing store size, describes
-    a Zipf-skewed traffic trace (the first tenants are hot), and runs
-    the design-space autotuner over two arch presets (the requested
-    spec and a double-rows variant) x both placement policies.  The
-    winner's predicted cost ranking is printed, its plan is emitted and
-    rebuilt through :meth:`Cluster.from_plan`, and one batch per tenant
-    confirms the rebuilt fleet serves correctly.
-    """
-    from dataclasses import replace
-
-    import repro.frontend.torch_api as torch
-
-    from repro.runtime import Cluster
-    from repro.runtime.autotune import TrafficTrace, autotune
-
-    rng = np.random.default_rng(args.seed)
-
-    def dot_model(stored):
-        class DotSimilarity(torch.Module):
-            def __init__(self):
-                self.weight = torch.tensor(stored)
-
-            def forward(self, input):
-                others = self.weight.transpose(-2, -1)
-                matmul = torch.matmul(input, others)
-                return torch.ops.aten.topk(matmul, 1, largest=True)
-
-        return DotSimilarity()
-
-    ids = [f"tenant{i}" for i in range(args.autotune)]
-    models, inputs, workloads = {}, {}, {}
-    for i, tid in enumerate(ids):
-        patterns = args.patterns + i * (args.patterns // 2)
-        stored = rng.choice([-1.0, 1.0], (patterns, args.dims)).astype(
-            np.float32
-        )
-        models[tid] = dot_model(stored)
-        inputs[tid] = [placeholder((1, args.dims))]
-        workloads[tid] = rng.choice(
-            [-1.0, 1.0], (args.queries, args.dims)
-        ).astype(np.float32)
-    trace = TrafficTrace.zipf(
-        ids, total_qps=10_000.0, skew=1.1,
-        batch_rows=max(1, args.queries),
-    )
-    print("traffic trace (Zipf 1.1):")
-    for hint in trace.hints:
-        print(f"  {hint.tenant_id}: {hint.rate_qps:.0f} qps x "
-              f"{hint.batch_rows} row(s)")
-    presets = {
-        f"{spec.rows}x{spec.cols}": spec,
-        f"{spec.rows * 2}x{spec.cols}": replace(spec, rows=spec.rows * 2),
-    }
-    try:
-        result = autotune(
-            models, inputs, trace, presets=presets,
-            policies=("ffd", "cost"),
-        )
-    except (CapacityError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(result.describe())
-    rebuilt = Cluster.from_plan(result.plan, result.kernels)
-    with rebuilt:
-        print("rebuilt from the emitted plan:")
-        print(rebuilt.describe())
-        for tid in ids:
-            _values, indices = rebuilt.run_batch(workloads[tid], tenant=tid)
-            print(f"  {tid}: indices {indices.ravel().tolist()}")
-        if args.stats:
-            print(format_report(rebuilt.report()))
-        else:
-            print(rebuilt.report().summary())
-    return 0
-
-
 def run_mutate_demo(args, kernel, queries) -> int:
     """``--mutate``: exercise insert/delete/update on the live store.
 
@@ -511,19 +424,6 @@ def main(argv=None) -> int:
         parser.error("--cluster cannot be combined with --tenants, "
                      "--shards, --dump-ir or --pipeline (the demo "
                      "drives its own compilation)")
-    if args.autotune is not None and args.autotune < 1:
-        parser.error(
-            f"--autotune must be a positive tenant count, got {args.autotune}"
-        )
-    if args.autotune is not None and (
-        args.cluster is not None or args.tenants is not None
-        or args.shards is not None or args.mutate or args.serve
-        or args.dump_ir or args.pipeline
-    ):
-        parser.error("--autotune cannot be combined with --cluster, "
-                     "--tenants, --shards, --mutate, --serve, --dump-ir "
-                     "or --pipeline (the search drives its own "
-                     "compilation)")
     if args.mutate and (
         args.serve or args.tenants is not None or args.cluster is not None
         or args.dump_ir or args.pipeline
@@ -533,8 +433,6 @@ def main(argv=None) -> int:
                      "(it drives the synchronous kernel API)")
     spec = load_spec(args)
     compiler = C4CAMCompiler(spec)
-    if args.autotune is not None:
-        return run_autotune_demo(args, spec)
     if args.cluster is not None:
         return run_cluster_demo(args, spec)
     if args.tenants is not None:

@@ -798,50 +798,6 @@ class C4CAMCompiler:
             **cluster_kwargs,
         )
 
-    def autotune_cluster(
-        self,
-        models: Sequence[Callable],
-        example_inputs: Sequence[Sequence[Tensor]],
-        trace,
-        presets=None,
-        **kwargs,
-    ):
-        """Traffic-driven design-space search for a serving fleet.
-
-        ``trace`` is a :class:`~repro.runtime.autotune.TrafficTrace`
-        naming the tenants; ``models`` and ``example_inputs`` align
-        with ``trace.tenant_ids``.  ``presets`` maps candidate names to
-        :class:`~repro.arch.spec.ArchSpec`\\ s (default: just this
-        compiler's spec).  Returns the
-        :class:`~repro.runtime.autotune.AutotuneResult` — its ``plan``
-        and ``kernels`` rebuild the winning fleet via
-        :meth:`~repro.runtime.cluster.Cluster.from_plan`.  Remaining
-        keyword arguments pass through to
-        :func:`~repro.runtime.autotune.autotune` (``policies``,
-        ``lane_options``, ``shard_options``, ``max_machines``, ...).
-        """
-        from repro.runtime.autotune import autotune
-
-        order = trace.tenant_ids
-        if len(models) != len(order):
-            raise ValueError(
-                f"{len(models)} models but the trace names "
-                f"{len(order)} tenant(s)"
-            )
-        if len(example_inputs) != len(models):
-            raise ValueError(
-                f"{len(models)} models but {len(example_inputs)} example "
-                f"input sets"
-            )
-        kwargs.setdefault("tech", self.tech)
-        return autotune(
-            dict(zip(order, models)),
-            dict(zip(order, example_inputs)),
-            trace,
-            presets=presets if presets else {"compiler-spec": self.spec},
-            **kwargs,
-        )
-
     def reference(
         self, fn: Callable, example_inputs: Sequence[Tensor]
     ) -> CompiledKernel:

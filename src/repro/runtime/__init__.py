@@ -3,7 +3,6 @@ multi-machine sessions, the replicated async serving layer, multi-tenant
 bank placement and host reference semantics."""
 
 from . import values
-from .autotune import AutotuneResult, Candidate, TrafficTrace, autotune
 from .backend import ClusterShutdown, ExecutionBackend, LaneStats
 from .cluster import Cluster
 from .costmodel import (
@@ -11,7 +10,7 @@ from .costmodel import (
     PlacementCost,
     TenantProfile,
     TrafficHint,
-    profiles_from_reports,
+    TrafficTrace,
 )
 from .executor import ExecutionError, Interpreter
 from .placement import (
@@ -36,8 +35,6 @@ from .sharding import (
 )
 
 __all__ = [
-    "AutotuneResult",
-    "Candidate",
     "Cluster",
     "ClusterShutdown",
     "CostBreakdown",
@@ -63,11 +60,9 @@ __all__ = [
     "TrafficHint",
     "TrafficTrace",
     "aggregate_reports",
-    "autotune",
     "build_shard_set",
     "plan_shard_count",
     "plan_placement",
-    "profiles_from_reports",
     "shard_sizes",
     "tenant_demand",
     "values",

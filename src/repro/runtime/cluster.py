@@ -80,8 +80,6 @@ from .costmodel import PlacementCost, TenantProfile, TrafficHint
 from .machineview import MachineGroupView
 from .placement import (
     PlacementError,
-    PlacementPlan,
-    TenantAssignment,
     TenantProgram,
     _cost_model_usable,
     plan_placement,
@@ -1299,166 +1297,6 @@ class Cluster(ExecutionBackend, MachineGroupView):
                     "lanes": len(tenant.lanes),
                 })
                 break
-
-    # ------------------------------------------------------- plan round-trip
-    def plan(self) -> dict:
-        """The cluster's reproducible configuration as a JSON-able dict.
-
-        Captures the arch spec, the cluster knobs, the tenant set (in
-        admission order, with lane counts), the live shared-fleet bank
-        layout (in programming order) and the traffic hints —
-        everything :meth:`from_plan` needs to rebuild an identical
-        fleet around the same compiled kernels.
-        """
-        with self._admit_lock:
-            tenants = []
-            for tid in self._admit_order:
-                tenant = self._tenants[tid]
-                tenants.append({
-                    "tenant_id": tid,
-                    "kind": tenant.kind,
-                    "lanes": len(tenant.lanes),
-                    "shards": (
-                        tenant.shard_set.num_shards
-                        if tenant.kind == "sharded" else 0
-                    ),
-                })
-            placed = [
-                (tid, self._tenants[tid].lanes[0])
-                for tid in self._admit_order
-                if self._tenants[tid].kind == "placed"
-                and self._tenants[tid].lanes
-            ]
-            placed.sort(
-                key=lambda item: (item[1].machine_index,
-                                  item[1].bank_offset)
-            )
-            placement = [
-                {
-                    "tenant_id": tid,
-                    "machine_index": record.machine_index,
-                    "bank_offset": record.bank_offset,
-                    "banks": record.banks,
-                }
-                for tid, record in placed
-            ]
-            hints = [
-                dataclasses.asdict(self._traffic_hints[tid])
-                for tid in sorted(self._traffic_hints)
-            ]
-            return {
-                "version": 1,
-                "spec": self.spec.to_dict(),
-                "cluster": {
-                    "max_machines": self.max_machines,
-                    "max_batch": self.max_batch,
-                    "max_wait": self.max_wait,
-                    "time_scale": self.time_scale,
-                    "autoscale_max_lanes": self.autoscale_max_lanes,
-                    "autoscale_backlog_rows": self.autoscale_backlog_rows,
-                    "placement_policy": self.placement_policy,
-                    "fused": self.fused,
-                },
-                "tenants": tenants,
-                "placement": placement,
-                "num_machines": len(self._shared_machines),
-                "traffic_hints": hints,
-            }
-
-    @classmethod
-    def from_plan(cls, plan: dict, kernels, **kwargs) -> "Cluster":
-        """Rebuild a cluster from a :meth:`plan` dict.
-
-        ``kernels`` supplies the compiled artifacts the plan schedules:
-        a dict keyed by tenant id, or a sequence aligned with the
-        plan's tenant order.  Tenants are re-admitted in the recorded
-        admission order (with their lane counts) and the shared fleet
-        is pinned to the recorded bank layout, so ``run_batch`` results
-        are bitwise identical to the cluster the plan was taken from.
-        Keyword arguments override the recorded cluster knobs.
-        """
-        version = plan.get("version")
-        if version != 1:
-            raise ValueError(f"unsupported cluster plan version {version!r}")
-        spec = ArchSpec.from_dict(plan["spec"])
-        entries = list(plan["tenants"])
-        if not isinstance(kernels, dict):
-            kernels = list(kernels)
-            if len(kernels) != len(entries):
-                raise ValueError(
-                    f"the plan schedules {len(entries)} tenant(s) but "
-                    f"{len(kernels)} kernel(s) were supplied"
-                )
-            kernels = {
-                entry["tenant_id"]: kernel
-                for entry, kernel in zip(entries, kernels)
-            }
-        missing = [
-            entry["tenant_id"] for entry in entries
-            if entry["tenant_id"] not in kernels
-        ]
-        if missing:
-            raise ValueError(f"no kernel supplied for tenant(s) {missing}")
-        config = dict(plan.get("cluster", {}))
-        config["traffic_hints"] = [
-            TrafficHint(**hint) for hint in plan.get("traffic_hints", [])
-        ]
-        config.update(kwargs)
-        if "tech" not in config and entries:
-            first = kernels[entries[0]["tenant_id"]]
-            tech = getattr(first, "tech", None)
-            if tech is not None:
-                config["tech"] = tech
-        cluster = cls(spec, **config)
-        for entry in entries:
-            tid = entry["tenant_id"]
-            cluster.admit(
-                kernels[tid], tenant_id=tid,
-                lanes=max(1, int(entry.get("lanes", 1))),
-            )
-        cluster.apply_placement(plan.get("placement", []))
-        return cluster
-
-    def apply_placement(self, placement: Sequence[dict]) -> None:
-        """Pin the shared fleet to a recorded bank layout (a
-        :meth:`plan` ``placement`` list).  A no-op when the live layout
-        already matches; otherwise a defragmenting re-program onto
-        exactly those spans (results stay bitwise identical)."""
-        with self._admit_lock:
-            want = {
-                entry["tenant_id"]: (
-                    entry["machine_index"],
-                    entry["bank_offset"],
-                    entry["banks"],
-                )
-                for entry in placement
-            }
-            live = self.bank_spans()
-            if want == live:
-                return
-            if set(want) != set(live):
-                raise SessionError(
-                    f"placement names tenants {sorted(want)} but the "
-                    f"cluster's placed tenants are {sorted(live)}"
-                )
-            ordered = sorted(
-                placement,
-                key=lambda e: (e["machine_index"], e["bank_offset"]),
-            )
-            pinned = PlacementPlan(
-                assignments=tuple(
-                    TenantAssignment(
-                        entry["tenant_id"], entry["machine_index"],
-                        entry["bank_offset"], entry["banks"],
-                    )
-                    for entry in ordered
-                ),
-                num_machines=1 + max(
-                    entry["machine_index"] for entry in ordered
-                ),
-                banks_per_machine=self.spec.banks,
-            )
-            self._defragment(reason="apply-placement", plan=pinned)
 
     def trace_summary(self, tenant: Optional[str] = None) -> dict:
         """Per-phase (queue/coalesce/run/merge) p50/p99 spans of the

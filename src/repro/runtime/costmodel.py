@@ -11,8 +11,8 @@ candidate packing will *cost* — latency, energy, interference — before
 any machine is programmed, so the packer
 (:func:`~repro.runtime.placement.plan_placement` with
 ``policy="cost"``), the :class:`~repro.runtime.cluster.Cluster`
-re-pack and the autotuner (:mod:`repro.runtime.autotune`) can all rank
-alternatives against one yardstick.
+re-pack and its cost-burdened autoscaler can all rank alternatives
+against one yardstick.
 
 The model is **calibrated**, not guessed.  A :class:`TenantProfile`
 carries a tenant's measured per-query latency/energy (from any
@@ -50,11 +50,14 @@ diverging as the machine saturates.  :meth:`PlacementCost.score`
 reduces a whole packing to one comparable total (rate- and
 priority-weighted response plus an optional energy term, with deadline
 violations surfaced and penalized), which is the objective the cost
-packer's local search and the autotuner both minimize.
+packer's local search minimizes.  A :class:`TrafficTrace` bundles one
+hint per tenant and unrolls them into a deterministic arrival timeline
+for replaying a packing on the sim clock.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -66,7 +69,7 @@ __all__ = [
     "PlacementCost",
     "TenantProfile",
     "TrafficHint",
-    "profiles_from_reports",
+    "TrafficTrace",
 ]
 
 
@@ -113,19 +116,7 @@ class TenantProfile:
         )
 
 
-def profiles_from_reports(
-    reports: Mapping[str, ExecutionReport],
-    banks: Optional[Mapping[str, int]] = None,
-) -> Dict[str, TenantProfile]:
-    """Per-tenant profiles from per-tenant measured reports."""
-    return {
-        tid: TenantProfile.from_report(
-            tid, report, banks=None if banks is None else banks.get(tid)
-        )
-        for tid, report in reports.items()
-    }
-
-
+# ----------------------------------------------------------------- traffic
 @dataclass(frozen=True)
 class TrafficHint:
     """One tenant's offered traffic, the scheduling input.
@@ -135,7 +126,9 @@ class TrafficHint:
     unit works — the cluster feeds observed per-epoch query counts),
     ``batch_rows`` the typical rows per request, ``priority`` the
     dispatch class weight (higher = more urgent), ``deadline_s`` an
-    optional per-request latency SLO in seconds of sim time.
+    optional per-request latency SLO in seconds of sim time.  Rates
+    must be finite and deadlines finite and positive: an infinite rate
+    has no arrival period, and a NaN poisons every score it touches.
     """
 
     tenant_id: str
@@ -145,10 +138,76 @@ class TrafficHint:
     deadline_s: Optional[float] = None
 
     def __post_init__(self):
-        if self.rate_qps < 0:
-            raise ValueError("rate_qps must be >= 0")
+        if not 0.0 <= self.rate_qps < math.inf:
+            raise ValueError(
+                f"rate_qps must be finite and >= 0, got {self.rate_qps}"
+            )
         if self.batch_rows < 1:
             raise ValueError("batch_rows must be >= 1")
+        deadline = self.deadline_s
+        if deadline is not None and not 0.0 < deadline < math.inf:
+            raise ValueError(
+                f"deadline_s must be finite and > 0, got {deadline}"
+            )
+
+
+@dataclass(frozen=True)
+class TrafficTrace:
+    """The offered load: one traffic hint per tenant.
+
+    :meth:`arrivals` unrolls the trace into a deterministic request
+    timeline (evenly spaced per-tenant streams, phase-shifted so tenants
+    interleave instead of stampeding), so replays are reproducible
+    without an RNG — the soak benchmark replays one against each
+    candidate packing.
+    """
+
+    hints: Tuple[TrafficHint, ...]
+
+    def __post_init__(self):
+        if not self.hints:
+            raise ValueError("a TrafficTrace needs at least one hint")
+        seen = set()
+        for hint in self.hints:
+            if hint.tenant_id in seen:
+                raise ValueError(
+                    f"duplicate tenant {hint.tenant_id!r} in trace"
+                )
+            seen.add(hint.tenant_id)
+
+    def hint(self, tenant_id: str) -> TrafficHint:
+        for hint in self.hints:
+            if hint.tenant_id == tenant_id:
+                return hint
+        raise KeyError(f"no tenant {tenant_id!r} in this trace")
+
+    def as_dict(self) -> Dict[str, TrafficHint]:
+        return {hint.tenant_id: hint for hint in self.hints}
+
+    def arrivals(self, horizon_s: float) -> List[Tuple[float, str]]:
+        """The trace unrolled to ``(time_s, tenant_id)`` request
+        arrivals over ``[0, horizon_s)``.
+
+        Each tenant sends requests of ``batch_rows`` rows at a uniform
+        period (``batch_rows / rate_qps``), phase-offset by its trace
+        position — deterministic, so two replays see byte-identical
+        timelines.
+        """
+        if horizon_s <= 0:
+            raise ValueError("horizon_s must be positive")
+        out: List[Tuple[float, str]] = []
+        count = len(self.hints)
+        for index, hint in enumerate(self.hints):
+            if hint.rate_qps <= 0:
+                continue
+            period = hint.batch_rows / hint.rate_qps
+            phase = period * (index + 1) / (count + 1)
+            t = phase
+            while t < horizon_s:
+                out.append((t, hint.tenant_id))
+                t += period
+        out.sort(key=lambda item: (item[0], item[1]))
+        return out
 
 
 # -------------------------------------------------------------- breakdown
@@ -162,8 +221,8 @@ class CostBreakdown:
     add), predicted energy per request, and the per-machine offered
     load / utilization behind the congestion estimate.
     ``slo_violations`` names tenants whose predicted response exceeds
-    their hinted deadline — the packer and the autotuner treat those as
-    heavily penalized, not silently acceptable.
+    their hinted deadline — the packer treats those as heavily
+    penalized, not silently acceptable.
     """
 
     total: float
@@ -429,19 +488,6 @@ class PlacementCost:
         return self.score_groups(groups)
 
     # ----------------------------------------------------------- utilities
-    def with_hints(
-        self, hints: Mapping[str, TrafficHint] | Iterable[TrafficHint]
-    ) -> "PlacementCost":
-        """The same calibrated model under a different traffic mix."""
-        return PlacementCost(
-            self.profiles,
-            hints,
-            tech=self.tech,
-            energy_weight=self.energy_weight,
-            amortize_window_s=self.amortize_window_s,
-            saturation_floor=self.saturation_floor,
-        )
-
     def calibration_error(
         self, tenant_id: str, report: ExecutionReport
     ) -> float:

@@ -471,7 +471,7 @@ class TestAutoscaler:
 
 
 # --------------------------------------------------------------------------
-# Cost-model placement and the serializable cluster plan
+# Cost-model placement plans and the serving trace
 # --------------------------------------------------------------------------
 class TestCostPlacementAndPlans:
     SPEC = replace(dse_spec(16), banks=2)
@@ -573,108 +573,6 @@ class TestCostPlacementAndPlans:
             assert model.calibration_error(
                 "t0", cluster.tenant_report("t0")
             ) < 0.5
-
-    def test_plan_round_trips_bitwise(self, dot_kernel, rng):
-        stores = self._stores(rng)
-        queries = {
-            tid: rng.standard_normal((3, 64)).astype(np.float32)
-            for tid in stores
-        }
-        kernels = {
-            tid: compile_dot(dot_kernel, stored, spec=self.SPEC)
-            for tid, stored in stores.items()
-        }
-        cluster = Cluster(
-            self.SPEC, placement_policy="cost", traffic_hints=self.HINTS,
-        )
-        for tid, kernel in kernels.items():
-            cluster.admit(kernel, tenant_id=tid)
-        plan = cluster.plan()
-        spans = cluster.bank_spans()
-        expected = {
-            tid: cluster.run_batch(queries[tid], tenant=tid)
-            for tid in stores
-        }
-        cluster.shutdown()
-
-        import json
-        json.dumps(plan)  # the plan is a wire format, not live objects
-
-        with Cluster.from_plan(plan, kernels) as rebuilt:
-            assert rebuilt.bank_spans() == spans
-            assert rebuilt.plan() == plan
-            assert rebuilt.placement_policy == "cost"
-            for tid in stores:
-                values, indices = rebuilt.run_batch(
-                    queries[tid], tenant=tid
-                )
-                np.testing.assert_array_equal(values, expected[tid][0])
-                np.testing.assert_array_equal(indices, expected[tid][1])
-
-    def test_from_plan_validates(self, dot_kernel, rng):
-        stores = self._stores(rng)
-        kernels = {
-            tid: compile_dot(dot_kernel, stored, spec=self.SPEC)
-            for tid, stored in stores.items()
-        }
-        cluster = Cluster(self.SPEC)
-        for tid, kernel in kernels.items():
-            cluster.admit(kernel, tenant_id=tid)
-        plan = cluster.plan()
-        cluster.shutdown()
-        with pytest.raises(ValueError, match="version"):
-            Cluster.from_plan({**plan, "version": 99}, kernels)
-        with pytest.raises((KeyError, ValueError, SessionError)):
-            Cluster.from_plan(plan, {"t0": kernels["t0"]})
-
-    def test_apply_placement_swaps_layout(self, dot_kernel, rng):
-        stores = self._stores(rng)
-        queries = rng.standard_normal((3, 64)).astype(np.float32)
-        with Cluster(self.SPEC) as cluster:
-            self._admit_all(cluster, dot_kernel, stores)
-            before = cluster.bank_spans()
-            expected = {
-                tid: cluster.run_batch(queries, tenant=tid)
-                for tid in stores
-            }
-            # Mirror the layout across machines.
-            n_machines = 1 + max(span[0] for span in before.values())
-            target = [
-                {
-                    "tenant_id": tid,
-                    "machine_index": n_machines - 1 - span[0],
-                    "bank_offset": span[1],
-                    "banks": span[2],
-                }
-                for tid, span in before.items()
-            ]
-            cluster.apply_placement(target)
-            after = cluster.bank_spans()
-            assert after != before
-            for entry in target:
-                assert after[entry["tenant_id"]] == (
-                    entry["machine_index"],
-                    entry["bank_offset"],
-                    entry["banks"],
-                )
-            # Re-programming elsewhere must not change a single bit.
-            for tid in stores:
-                values, indices = cluster.run_batch(queries, tenant=tid)
-                np.testing.assert_array_equal(values, expected[tid][0])
-                np.testing.assert_array_equal(indices, expected[tid][1])
-            # Idempotent: re-applying the current layout is a no-op.
-            cluster.apply_placement(target)
-            assert cluster.bank_spans() == after
-
-    def test_apply_placement_rejects_wrong_tenants(self, dot_kernel, rng):
-        stores = self._stores(rng)
-        with Cluster(self.SPEC) as cluster:
-            self._admit_all(cluster, dot_kernel, stores)
-            with pytest.raises(SessionError, match="tenant"):
-                cluster.apply_placement([{
-                    "tenant_id": "ghost", "machine_index": 0,
-                    "bank_offset": 0, "banks": 1,
-                }])
 
     def test_trace_summary_delegates_to_engine(self, dot_kernel, rng):
         stores = self._stores(rng)

@@ -8,7 +8,8 @@ latency composes linearly per query, co-resident tenants pay the
 penalty, sharded tenants pay the host merge hop — across tcam and acam
 presets.  Plus the scoring surface the cost packer ranks on: hot
 co-residents cost more than spread ones, deadline misses are penalized,
-and hints validate.
+hints validate, and a traffic trace unrolls into a deterministic
+arrival timeline.
 """
 
 from dataclasses import replace
@@ -23,7 +24,7 @@ from repro.runtime.costmodel import (
     PlacementCost,
     TenantProfile,
     TrafficHint,
-    profiles_from_reports,
+    TrafficTrace,
 )
 
 #: Relative tolerance for calibration asserts.  The sim is
@@ -48,14 +49,18 @@ def bipolar(rng, rows, dims=64):
 
 
 # --------------------------------------------------------------------------
-# Hints and profiles
+# Hints, traces and profiles
 # --------------------------------------------------------------------------
 class TestTrafficHint:
     def test_validates(self):
-        with pytest.raises(ValueError, match="rate"):
-            TrafficHint("t", rate_qps=-1.0)
+        for rate in (-1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="rate"):
+                TrafficHint("t", rate_qps=rate)
         with pytest.raises(ValueError, match="batch"):
             TrafficHint("t", batch_rows=0)
+        for deadline in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="deadline"):
+                TrafficHint("t", deadline_s=deadline)
 
     def test_defaults_neutral(self):
         hint = TrafficHint("t")
@@ -63,6 +68,36 @@ class TestTrafficHint:
         assert hint.batch_rows == 1
         assert hint.priority == 0
         assert hint.deadline_s is None
+
+
+class TestTrafficTrace:
+    def test_rejects_duplicates_and_empty(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            TrafficTrace(hints=(TrafficHint("a"), TrafficHint("a")))
+        with pytest.raises(ValueError, match="at least one"):
+            TrafficTrace(hints=())
+
+    def test_arrivals_deterministic_and_sorted(self):
+        trace = TrafficTrace(hints=(
+            TrafficHint("a", rate_qps=70.0),
+            TrafficHint("b", rate_qps=30.0),
+        ))
+        first = trace.arrivals(0.5)
+        second = trace.arrivals(0.5)
+        assert first == second
+        assert first == sorted(first)
+        assert all(0.0 <= t < 0.5 for t, _tid in first)
+        # Per-tenant counts track the hinted rates.
+        hot = sum(1 for _t, tid in first if tid == "a")
+        cold = sum(1 for _t, tid in first if tid == "b")
+        assert hot > cold > 0
+
+    def test_arrivals_respects_batch_rows(self):
+        trace = TrafficTrace(hints=(
+            TrafficHint("a", rate_qps=100.0, batch_rows=10),
+        ))
+        # 100 q/s in 10-row requests -> 10 requests/s.
+        assert len(trace.arrivals(1.0)) == 10
 
 
 class TestTenantProfile:
@@ -81,13 +116,6 @@ class TestTenantProfile:
         assert profile.setup_latency_ns == report.setup_latency_ns
         assert profile.banks == report.banks_used
         assert profile.queries_observed == report.queries
-
-    def test_profiles_from_reports(self, dot_kernel, rng):
-        kernel = compile_dot(dot_kernel, bipolar(rng, 8), PRESETS["tcam"])
-        kernel.run_batch(bipolar(rng, 2))
-        profiles = profiles_from_reports({"a": kernel.last_report})
-        assert set(profiles) == {"a"}
-        assert profiles["a"].tenant_id == "a"
 
     def test_hints_must_be_profiled(self):
         profile = TenantProfile(tenant_id="a", per_query_latency_ns=10.0)
@@ -238,7 +266,7 @@ class TestScoring:
         assert met.slo_violations == ()
         assert missed.total > met.total * 100
 
-    def test_has_traffic_and_with_hints(self):
+    def test_has_traffic(self):
         profiles = [
             TenantProfile(tenant_id="a", per_query_latency_ns=10.0)
         ]
@@ -246,9 +274,10 @@ class TestScoring:
             profiles, hints=[TrafficHint("a", rate_qps=0.0)]
         )
         assert not silent.has_traffic
-        loud = silent.with_hints([TrafficHint("a", rate_qps=5.0)])
+        loud = PlacementCost(
+            profiles, hints=[TrafficHint("a", rate_qps=5.0)]
+        )
         assert loud.has_traffic
-        assert loud.profiles == silent.profiles
 
     def test_amortized_setup_decays_with_rate(self):
         profiles = [

@@ -265,6 +265,22 @@ class TestCli:
         paper_spec(rows=16, cols=16).to_json(path)
         assert main(["--arch", str(path), "--dims", "64"]) == 0
 
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            (["--cluster", "2"], "after defragmentation: bitwise identical"),
+            (["--mutate"], "compaction reclaimed"),
+            (["--serve", "--replicas", "2"], "replica(s)"),
+            (["--batch", "8"], "batch of 8 queries"),
+        ],
+        ids=["cluster", "mutate", "serve", "batch"],
+    )
+    def test_demo_flags(self, flags, expected, capsys):
+        from repro.cli import main
+
+        assert main(["--dims", "64", "--patterns", "8", *flags]) == 0
+        assert expected in capsys.readouterr().out
+
 
 class TestRecSys:
     def test_pipeline_end_to_end(self, rng):

@@ -167,7 +167,7 @@ def test_two_replicas_double_throughput(serving_workload):
 
 
 def test_replica_lanes_balance_under_load(serving_workload):
-    """The least-loaded router splits a queued workload evenly."""
+    """Lanes pulling from one queue split a queued workload evenly."""
     duo = serving_workload["duo"]
     queries = serving_workload["queries"]
     duo.session().reset()

@@ -21,8 +21,8 @@ import pytest
 
 from repro.apps import build_knn, pad_features, synthetic_pneumonia
 from repro.arch import ArchSpec
-from repro.compiler import C4CAMCompiler, CapacityError
-from repro.transforms import machine_row_capacity
+from repro.compiler import C4CAMCompiler
+from repro.transforms import CapacityError, machine_row_capacity
 
 from harness import print_series
 

@@ -24,11 +24,12 @@ import sys
 import numpy as np
 
 from repro.arch import ArchSpec, paper_spec
-from repro.compiler import C4CAMCompiler, CapacityError, build_pipeline
+from repro.compiler import C4CAMCompiler, build_pipeline
 from repro.frontend import placeholder
 from repro.ir.printer import print_module
 from repro.passes.pass_manager import PassError
 from repro.simulator.analysis import format_report
+from repro.transforms import CapacityError
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -249,7 +250,7 @@ def run_cluster_demo(args, spec: ArchSpec) -> int:
     Compiles K dot-similarity tenants of growing store size, admits
     them into one :class:`~repro.runtime.cluster.Cluster` at runtime,
     serves every tenant a ``--batch`` (default ``--queries``) workload
-    through the priority/deadline dispatcher (odd tenants submit at
+    through the priority/deadline intake (odd tenants submit at
     ``--priority``, even at 0), then evicts the first tenant — its
     banks are reclaimed by a defragmenting re-placement — and re-serves
     a survivor to show the results did not move.

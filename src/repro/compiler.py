@@ -91,7 +91,6 @@ from repro.runtime.sharding import (
 from repro.simulator.machine import CamMachine
 from repro.simulator.metrics import ExecutionReport
 from repro.transforms import (
-    CapacityError,
     CimFuseOpsPass,
     CimPartitionPass,
     CimToCamPass,

@@ -29,8 +29,9 @@ previous PRs built behind the
 * **priority/deadline dispatch** — :meth:`Cluster.submit` takes
   ``priority=`` (higher first) and ``deadline=`` (earliest-deadline-
   first within a priority class); the engine's
-  :class:`~repro.runtime.serving.PriorityIntake` orders dispatch and
-  still never mixes tenants in a micro-batch.
+  :class:`~repro.runtime.serving.PriorityIntake` holds every request
+  no lane is serving in that order, and never mixes tenants in a
+  micro-batch.
 * **queue-depth autoscaling** — when a tenant's queued rows exceed
   ``autoscale_backlog_rows`` per serving lane, the cluster clones the
   tenant's session onto a fresh private machine (a new lane, up to
@@ -85,7 +86,7 @@ from .placement import (
     plan_placement,
     tenant_demand,
 )
-from .serving import PriorityIntake, ServingEngine
+from .serving import ServingEngine
 from .session import QuerySession, StoreOverflow
 from .sharding import ShardedSession, ShardSet
 
@@ -191,7 +192,7 @@ class _Tenant:
 
 
 class Cluster(ExecutionBackend, MachineGroupView):
-    """A shared CAM fleet with a dynamic tenant set and one dispatcher.
+    """A shared CAM fleet with a dynamic tenant set and one request intake.
 
     Usage::
 
@@ -890,13 +891,12 @@ class Cluster(ExecutionBackend, MachineGroupView):
     def evict(self, tenant_id: str, defragment: bool = True) -> None:
         """Retire one tenant at runtime.
 
-        The tenant's queued (undispatched) requests and its lanes'
-        already-dispatched-but-unserved batches fail with
+        The tenant's queued requests fail with
         :class:`~repro.runtime.backend.ClusterShutdown` naming the
-        tenant; in-flight batches finish normally.  With
-        ``defragment=True`` (default) the surviving placed tenants are
-        re-packed onto fresh machines, reclaiming the evicted banks —
-        their results stay bitwise identical.  ``defragment=False``
+        tenant; batches its lanes are already serving finish normally.
+        With ``defragment=True`` (default) the surviving placed tenants
+        are re-packed onto fresh machines, reclaiming the evicted banks
+        — their results stay bitwise identical.  ``defragment=False``
         leaves the survivors in place (the evicted banks stay dead
         until the next defragmentation).
         """
@@ -908,12 +908,12 @@ class Cluster(ExecutionBackend, MachineGroupView):
             )
             if engine is not None:
                 engine.drop_tenant(tenant_id)
-                engine.drain_tenant(tenant_id, error)
                 for record in tenant.lanes:
                     if record.engine_lane is not None:
-                        engine.remove_lane(record.engine_lane, error=error)
+                        engine.remove_lane(record.engine_lane)
+                engine.drain_tenant(tenant_id, error)
             # Drain in-flight work on the evicted tenant's lanes (its
-            # engine lanes no longer accept batches), then capture its
+            # engine lanes take no more batches), then capture its
             # final traffic for the closing epoch.
             for record in tenant.lanes:
                 with record.lock:
@@ -1121,7 +1121,6 @@ class Cluster(ExecutionBackend, MachineGroupView):
                     max_batch=self.max_batch,
                     max_wait=self.max_wait,
                     time_scale=self.time_scale,
-                    intake=PriorityIntake(),
                 )
                 engine.on_batch_done = self._on_batch_done
                 for tid in self._admit_order:
@@ -1158,7 +1157,7 @@ class Cluster(ExecutionBackend, MachineGroupView):
         return future
 
     def pending_rows(self, tenant: Optional[str] = None) -> int:
-        """Queued, not-yet-dispatched rows (the autoscaler's signal)."""
+        """Queued rows no lane has taken yet (the autoscaler's signal)."""
         engine = self._engine
         return 0 if engine is None else engine.pending_rows(tenant)
 
@@ -1267,36 +1266,33 @@ class Cluster(ExecutionBackend, MachineGroupView):
                 "lanes": len(tenant.lanes),
             })
 
-    def _on_batch_done(self, tenant_id: Optional[str]) -> None:
-        """Engine completion hook: shrink an idle scaled lane when the
-        tenant's queue has fully drained."""
-        if tenant_id is None:
-            return
+    def _on_batch_done(self, lane) -> None:
+        """Engine completion hook, on ``lane``'s own thread between two
+        of its batches: retire the lane when it is a scaled lane and its
+        tenant's queue is empty.  The lane holds no batch here, so the
+        accounting it leaves behind is final."""
+        tenant_id = lane.tenant
         with self._admit_lock:
             tenant = self._tenants.get(tenant_id)
             engine = self._engine
             if tenant is None or engine is None:
                 return
-            if len(tenant.lanes) <= 1:
+            record = next(
+                (r for r in tenant.lanes if r.engine_lane is lane), None
+            )
+            if record is None or not record.scaled:
                 return
             if engine.pending_rows(tenant_id) > 0:
                 return
-            for record in list(tenant.lanes[1:]):
-                lane = record.engine_lane
-                if not record.scaled or lane is None:
-                    continue
-                if not lane.alive or lane.outstanding > 0:
-                    continue
-                engine.remove_lane(lane)
-                tenant.lanes.remove(record)
-                with self._stats_lock:
-                    tenant.retired_lanes.append(record.stats.report())
-                self.autoscale_events.append({
-                    "tenant": tenant_id,
-                    "action": "scale-down",
-                    "lanes": len(tenant.lanes),
-                })
-                break
+            engine.remove_lane(lane)
+            tenant.lanes.remove(record)
+            with self._stats_lock:
+                tenant.retired_lanes.append(record.stats.report())
+            self.autoscale_events.append({
+                "tenant": tenant_id,
+                "action": "scale-down",
+                "lanes": len(tenant.lanes),
+            })
 
     def trace_summary(self, tenant: Optional[str] = None) -> dict:
         """Per-phase (queue/coalesce/run/merge) p50/p99 spans of the
@@ -1455,7 +1451,6 @@ class Cluster(ExecutionBackend, MachineGroupView):
             "requests_submitted": 0,
             "batches_dispatched": 0,
             "rows_dispatched": [],
-            "outstanding_rows": 0,
         }
         with self._admit_lock:
             base.update({

@@ -48,8 +48,8 @@ service time by the co-residents' load with an M/G/1-flavoured
 congestion factor — deterministic, monotone in foreign load, and
 diverging as the machine saturates.  :meth:`PlacementCost.score`
 reduces a whole packing to one comparable total (rate- and
-priority-weighted response plus an optional energy term, with deadline
-violations surfaced and penalized), which is the objective the cost
+priority-weighted response, with deadline violations surfaced and
+penalized), which is the objective the cost
 packer's local search minimizes.  A :class:`TrafficTrace` bundles one
 hint per tenant and unrolls them into a deterministic arrival timeline
 for replaying a packing on the sim clock.
@@ -262,17 +262,19 @@ class PlacementCost:
     ``profiles`` carries the calibrated per-tenant unit costs,
     ``hints`` the offered traffic (tenants without a hint default to a
     neutral 1-request/s single-row stream, so the model still ranks
-    packings when only some tenants have traffic).  ``energy_weight``
-    folds predicted energy into :meth:`score`'s total (0 = latency
-    only); ``amortize_window_s`` is the traffic horizon setup charges
-    amortize over; ``saturation_floor`` bounds the congestion factor's
-    denominator so an overloaded machine scores terribly instead of
-    dividing by zero.
+    packings when only some tenants have traffic).  :meth:`score`
+    weighs predicted response only; predicted energy is reported per
+    tenant but does not enter the total.
     """
 
     #: Penalty multiplier applied to a tenant's weighted response when
     #: its predicted response misses its hinted deadline.
     slo_penalty = 1e3
+    #: The traffic horizon (seconds) setup charges amortize over.
+    amortize_window_s = 1.0
+    #: Floor of the congestion factor's denominator, so an overloaded
+    #: machine scores terribly instead of dividing by zero.
+    saturation_floor = 0.05
 
     def __init__(
         self,
@@ -281,9 +283,6 @@ class PlacementCost:
             Mapping[str, TrafficHint] | Iterable[TrafficHint]
         ] = None,
         tech: TechnologyModel = FEFET_45NM,
-        energy_weight: float = 0.0,
-        amortize_window_s: float = 1.0,
-        saturation_floor: float = 0.05,
     ):
         if not isinstance(profiles, Mapping):
             profiles = {p.tenant_id: p for p in profiles}
@@ -301,9 +300,6 @@ class PlacementCost:
             )
         self.hints: Dict[str, TrafficHint] = dict(hints)
         self.tech = tech
-        self.energy_weight = float(energy_weight)
-        self.amortize_window_s = float(amortize_window_s)
-        self.saturation_floor = float(saturation_floor)
 
     # ------------------------------------------------------------- lookups
     def profile(self, tenant_id: str) -> TenantProfile:
@@ -463,12 +459,6 @@ class PlacementCost:
                     violations.append(tid)
                     weight *= self.slo_penalty
                 total += weight * response * 1e-9
-                total += (
-                    self.energy_weight
-                    * hint.rate_qps
-                    * energy[tid]
-                    * 1e-9
-                )
         return CostBreakdown(
             total=total,
             latency_ns=latency,

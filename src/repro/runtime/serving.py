@@ -22,20 +22,23 @@ best path:
   ``throughput_qps`` reflects the concurrency replication buys.
 * :class:`ServingEngine` — an asynchronous front door.  Clients
   ``submit()`` single queries or small batches and get a
-  :class:`~concurrent.futures.Future` back immediately; a dispatcher
-  thread coalesces queued requests into micro-batches (up to
+  :class:`~concurrent.futures.Future` back immediately; whenever a
+  serving lane is free, its worker pulls the next micro-batch (up to
   ``max_batch`` rows, waiting at most ``max_wait`` seconds to fill one)
-  and hands each micro-batch to the least-loaded lane's worker.
+  from the engine's one request intake.
 
-The engine is built from two replaceable parts so higher control planes
+The engine is built from two parts so higher control planes
 (:class:`~repro.runtime.cluster.Cluster`) can reuse its worker/future
 plumbing wholesale:
 
-* a **request intake** forms micro-batches.  :class:`FifoIntake` (the
-  default) coalesces in arrival order; :class:`PriorityIntake` orders
-  by ``priority`` (higher first) then earliest ``deadline``
-  (EDF-within-priority) then submission order.  Either way a
-  micro-batch only ever holds requests of **one** tenant.
+* the **request intake** (:class:`PriorityIntake`) orders requests by
+  ``priority`` (higher first), then earliest ``deadline``
+  (EDF-within-priority), then submission order — plain arrival order
+  when no request sets either.  A micro-batch only ever holds requests
+  of **one** tenant.  A lane holds at most one micro-batch, so
+  everything not being served stays in the intake, where that order
+  still applies: an urgent request never queues behind batches already
+  handed out.
 * **serving lanes** (one backend copy + one worker thread each) can be
   added and retired at runtime (``add_lane`` / ``remove_lane``) — the
   mechanism a queue-depth autoscaler grows and shrinks per-tenant
@@ -61,9 +64,8 @@ see the fixed-latency-device behaviour the paper's hardware would have.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import itertools
-import queue
 import threading
 import time
 from collections import deque
@@ -81,7 +83,6 @@ from .backend import ClusterShutdown, ExecutionBackend, LaneStats, SessionError
 from .machineview import MachineGroupView
 
 __all__ = [
-    "FifoIntake",
     "LaneStats",
     "PriorityIntake",
     "ReplicatedSession",
@@ -103,8 +104,8 @@ class ReplicatedSession(ExecutionBackend, MachineGroupView):
     :meth:`run_batch` keeps the synchronous session contract (identical
     results, per-batch ``last_report``) while routing each batch to the
     replica with the least accumulated simulated busy time;
-    :meth:`run_on` pins a batch to an explicit replica (the
-    :class:`ServingEngine` routes by queue depth and calls this).
+    :meth:`run_on` pins a batch to an explicit replica (each
+    :class:`ServingEngine` lane serves its own replica through it).
     :meth:`report` merges the per-replica lanes into one concurrent
     deployment report — energy/area scale with R, latency is the longest
     lane, ``throughput_qps`` reflects the added concurrency.
@@ -271,10 +272,11 @@ class _Request:
 
     The ``t_*`` fields are wall-clock tracing stamps
     (``time.perf_counter``) the serving path fills in as the request
-    flows through it: submitted -> pulled into a forming micro-batch
-    (``t_coalesce``) -> batch closed and dispatched to a lane
-    (``t_dispatch``) -> served by the backend (``t_serve_end``) ->
-    result slice resolved into the future (``t_done``).  They feed
+    flows through it: submitted -> a free lane starts forming the
+    micro-batch that takes it (``t_coalesce``) -> the lane takes the
+    closed batch (``t_dispatch``) -> served by the backend
+    (``t_serve_end``) -> result slice resolved into the future
+    (``t_done``).  They feed
     :meth:`ServingEngine.trace_summary`'s per-phase percentiles — the
     queue-vs-service split the placement cost model calibrates against.
     """
@@ -321,9 +323,10 @@ class _Request:
 
     def spans(self) -> Dict[str, float]:
         """Per-phase durations in seconds (only the stamped ones):
-        ``queue`` (waiting in the intake), ``coalesce`` (riding a
-        forming micro-batch), ``run`` (lane inbox + backend service),
-        ``merge`` (splitting the batch result and resolving)."""
+        ``queue`` (waiting in the intake, for a free lane too),
+        ``coalesce`` (riding a forming micro-batch), ``run`` (backend
+        service + pacing), ``merge`` (splitting the batch result and
+        resolving)."""
         out: Dict[str, float] = {}
         if self.t_coalesce is not None:
             out["queue"] = self.t_coalesce - self.t_submit
@@ -337,104 +340,27 @@ class _Request:
         return out
 
 
-_SHUTDOWN = object()
-
-
-# ---------------------------------------------------------------- intakes
-class FifoIntake:
-    """The default request source: arrival order, tenant-pure batches.
-
-    A micro-batch closes when it holds ``max_batch`` query rows or
-    ``max_wait`` seconds passed since its first request; a request that
-    would overflow the cap — or that belongs to a different tenant than
-    the batch — is held over and seeds the next micro-batch instead.
-    ``priority``/``deadline`` on requests are carried but not honoured
-    (use :class:`PriorityIntake` for that).
-    """
-
-    def __init__(self):
-        self._queue: queue.Queue = queue.Queue()
-        self._holdover: Optional[_Request] = None
-        self._stopped = False
-
-    def put(self, request: _Request) -> None:
-        self._queue.put(request)
-
-    def close(self) -> None:
-        self._queue.put(_SHUTDOWN)
-
-    def drain(self) -> List[_Request]:
-        """Remove and return every still-queued request (shutdown)."""
-        drained = []
-        if self._holdover is not None:
-            drained.append(self._holdover)
-            self._holdover = None
-        while True:
-            try:
-                item = self._queue.get_nowait()
-            except queue.Empty:
-                return drained
-            if item is not _SHUTDOWN:
-                drained.append(item)
-
-    def next_batch(self, max_batch: int, max_wait: float):
-        """The next micro-batch ``(requests, rows)``; None at shutdown."""
-        if self._stopped:
-            return None
-        first = (
-            self._holdover if self._holdover is not None
-            else self._queue.get()
-        )
-        self._holdover = None
-        if first is _SHUTDOWN:
-            self._stopped = True
-            return None
-        first.t_coalesce = time.perf_counter()
-        batch = [first]
-        rows = first.rows
-        deadline = time.monotonic() + max_wait
-        while rows < max_batch:
-            timeout = deadline - time.monotonic()
-            if timeout <= 0:
-                break
-            try:
-                nxt = self._queue.get(timeout=timeout)
-            except queue.Empty:
-                break
-            if nxt is _SHUTDOWN:
-                self._stopped = True
-                break
-            if nxt.tenant != first.tenant:
-                # Never mix tenants in one micro-batch: the next
-                # request seeds its own batch instead.
-                self._holdover = nxt
-                break
-            if rows + nxt.rows > max_batch:
-                self._holdover = nxt  # seeds the next micro-batch
-                break
-            nxt.t_coalesce = time.perf_counter()
-            batch.append(nxt)
-            rows += nxt.rows
-        return batch, rows
-
-
+# ----------------------------------------------------------------- intake
 class PriorityIntake:
-    """Priority/deadline-ordered request source (cluster dispatch).
+    """The engine's one request queue: urgency order, tenant-pure batches.
 
-    The most urgent pending request — highest ``priority``, then
-    earliest ``deadline`` (EDF within a priority class), then earliest
-    submission — seeds each micro-batch; coalescing then pulls further
-    pending requests of the *same tenant* in the same urgency order
-    (skipping any that would overflow ``max_batch``; they stay queued),
-    waiting up to ``max_wait`` seconds for the batch to fill.  Batches
-    never mix tenants, so one control plane multiplexes every colocated
-    kernel without a query of one store ever riding another's search.
+    Requests wait in order of ``priority`` (higher first), then
+    ``deadline`` (earliest first — EDF within a priority class), then
+    submission; with equal priorities and no deadlines that is arrival
+    order.  A free lane takes its next micro-batch with
+    :meth:`next_batch`: the most urgent request the lane may serve seeds
+    the batch, and further pending requests of the *same tenant* join it
+    in urgency order (skipping any that would overflow ``max_batch``;
+    they stay queued).  Batches never mix tenants, so one control plane
+    multiplexes every colocated kernel without a query of one store ever
+    riding another's search.
     """
 
     def __init__(self):
         self._cond = threading.Condition()
+        # (sort_key, request) pairs, most urgent first.
         self._entries: List[Tuple[tuple, _Request]] = []
-        # Per-tenant queued-row totals, kept in lockstep with the heap:
+        # Per-tenant queued-row totals, kept in lockstep with the queue:
         # pending_rows() runs on every submit (the autoscaler's signal)
         # and must not rescan a deep backlog each time.
         self._rows: Dict[Optional[str], int] = {}
@@ -451,102 +377,118 @@ class PriorityIntake:
         with self._cond:
             if self._closed:
                 raise SessionError("the request intake is closed")
-            heapq.heappush(self._entries, (request.sort_key, request))
+            bisect.insort(self._entries, (request.sort_key, request))
             self._account(request, +1)
-            self._cond.notify()
+            # Wake every lane: a single notify() may wake a lane pinned
+            # to another tenant while the one that can serve this sleeps.
+            self._cond.notify_all()
 
     def close(self) -> None:
         with self._cond:
             self._closed = True
             self._cond.notify_all()
 
+    def retire(self, lane: "_Lane") -> None:
+        """Stop ``lane`` taking batches; one it is serving finishes."""
+        with self._cond:
+            lane.alive = False
+            self._cond.notify_all()
+
     def pending_rows(self, tenant: Optional[str] = None) -> int:
-        """Queued (not yet dispatched) rows, optionally one tenant's —
+        """Queued rows no lane has taken yet, optionally one tenant's —
         the queue-depth signal the cluster autoscaler watches."""
         with self._cond:
             if tenant is None:
                 return sum(self._rows.values())
             return self._rows.get(tenant, 0)
 
-    def drain(self) -> List[_Request]:
-        """Remove and return every still-queued request (shutdown)."""
+    def drain(
+        self, match: Optional[Callable[[_Request], bool]] = None
+    ) -> List[_Request]:
+        """Remove and return the queued requests ``match`` selects
+        (every one by default): shutdown and eviction."""
         with self._cond:
-            drained = [request for _key, request in self._entries]
-            self._entries = []
-            self._rows = {}
-            return drained
+            gone = [
+                request for _key, request in self._entries
+                if match is None or match(request)
+            ]
+            self._remove(gone)
+            return gone
 
-    def drain_tenant(self, tenant: str) -> List[_Request]:
-        """Remove and return one tenant's queued requests (eviction)."""
-        with self._cond:
-            keep, gone = [], []
-            for entry in self._entries:
-                (gone if entry[1].tenant == tenant else keep).append(entry)
-            self._entries = keep
-            heapq.heapify(self._entries)
-            self._rows.pop(tenant, None)
-            return [request for _key, request in gone]
+    def next_batch(self, max_batch: int, max_wait: float, lane=None):
+        """The next micro-batch ``(requests, rows)`` for ``lane``.
 
-    def next_batch(self, max_batch: int, max_wait: float):
-        """The next micro-batch ``(requests, rows)``; None at shutdown."""
+        ``lane`` applies its tenant affinity (``None``, or a lane
+        without one, takes any tenant).  Until the batch is full the
+        lane waits up to ``max_wait`` seconds for it to fill, with its
+        requests still queued: until a lane takes them they stay
+        reorderable, drainable and counted by :meth:`pending_rows`.
+        Returns ``None`` to a retired lane, or when the intake is closed
+        and holds nothing for the lane.
+        """
         with self._cond:
-            while not self._entries:
-                if self._closed:
+            opened = None  # when the lane started forming this batch
+            while True:
+                # Checked under the lock retire() clears it under, so a
+                # retired lane never takes another batch.
+                if lane is not None and not lane.alive:
                     return None
-                self._cond.wait()
-            _key, first = heapq.heappop(self._entries)
-            self._account(first, -1)
-            first.t_coalesce = time.perf_counter()
-            batch = [first]
-            rows = first.rows
-            deadline = time.monotonic() + max_wait
-            while rows < max_batch:
-                rows = self._take_same_tenant(batch, rows, max_batch)
-                if rows >= max_batch or self._closed:
+                batch, rows = self._select(lane, max_batch)
+                if not batch:
+                    if self._closed:
+                        return None
+                    opened = None
+                    self._cond.wait()
+                    continue
+                if opened is None:
+                    opened = time.perf_counter()
+                remaining = opened + max_wait - time.perf_counter()
+                if rows >= max_batch or self._closed or remaining <= 0:
                     break
-                timeout = deadline - time.monotonic()
-                if timeout <= 0:
-                    break
-                self._cond.wait(timeout=timeout)
+                self._cond.wait(timeout=remaining)
+            self._remove(batch)
+            for request in batch:
+                request.t_coalesce = max(opened, request.t_submit)
             return batch, rows
 
-    def _take_same_tenant(
-        self, batch: List[_Request], rows: int, max_batch: int
-    ) -> int:
-        """Move fitting same-tenant entries into ``batch``, most urgent
-        first.  Caller holds the condition lock."""
-        tenant = batch[0].tenant
-        chosen = []
-        for entry in sorted(
-            (e for e in self._entries if e[1].tenant == tenant),
-            key=lambda e: e[0],
-        ):
-            if rows + entry[1].rows <= max_batch:
-                chosen.append(entry)
-                entry[1].t_coalesce = time.perf_counter()
-                batch.append(entry[1])
-                rows += entry[1].rows
-                if rows >= max_batch:
-                    break
-        if chosen:
-            taken = {id(entry) for entry in chosen}
-            self._entries = [
-                entry for entry in self._entries if id(entry) not in taken
-            ]
-            heapq.heapify(self._entries)
-            for entry in chosen:
-                self._account(entry[1], -1)
-        return rows
+    def _select(self, lane, max_batch: int) -> Tuple[List[_Request], int]:
+        """The micro-batch ``lane`` would take now, without taking it:
+        its most urgent request, then fitting same-tenant requests in
+        urgency order.  Caller holds the lock."""
+        affinity = None if lane is None else lane.tenant
+        batch: List[_Request] = []
+        rows = 0
+        for _key, request in self._entries:
+            if batch:
+                if (request.tenant != batch[0].tenant
+                        or rows + request.rows > max_batch):
+                    continue
+            elif affinity is not None and request.tenant != affinity:
+                continue
+            batch.append(request)
+            rows += request.rows
+            if rows >= max_batch:
+                break
+        return batch, rows
+
+    def _remove(self, requests: List[_Request]) -> None:
+        """Take ``requests`` out of the queue.  Caller holds the lock."""
+        taken = {id(request) for request in requests}
+        self._entries = [
+            entry for entry in self._entries if id(entry[1]) not in taken
+        ]
+        for request in requests:
+            self._account(request, -1)
 
 
 # ------------------------------------------------------------------ lanes
 class _Lane:
-    """One serving lane: a backend copy, its worker thread and queue."""
+    """One serving lane: a backend copy and the worker thread that
+    pulls its micro-batches from the engine's intake, one at a time."""
 
     __slots__ = (
-        "backend", "serve", "tenant", "lock", "inbox", "thread",
-        "outstanding", "busy_until", "rows_dispatched", "alive",
-        "retire_error",
+        "backend", "serve", "tenant", "lock", "thread", "rows_dispatched",
+        "alive", "busy_until",
     )
 
     def __init__(self, backend, serve, tenant, lock):
@@ -557,13 +499,10 @@ class _Lane:
         # Every lane serves under its lock so store mutations
         # (ServingEngine.mutate) serialize against in-flight batches.
         self.lock = lock if lock is not None else threading.Lock()
-        self.inbox: queue.Queue = queue.Queue()
         self.thread: Optional[threading.Thread] = None
-        self.outstanding = 0          # dispatched, unfinished rows
-        self.busy_until = 0.0         # wall-clock pacing book
         self.rows_dispatched = 0
-        self.alive = True
-        self.retire_error: Optional[BaseException] = None
+        self.alive = True             # cleared by PriorityIntake.retire
+        self.busy_until = 0.0         # when the last paced hold ends
 
 
 def _percentile(ordered: List[float], pct: float) -> float:
@@ -668,18 +607,19 @@ class ServingEngine:
     per-query lists rather than stacked arrays; such backends pass a
     matching ``split``).
 
-    Three kinds of thread cooperate:
+    Two kinds of thread cooperate:
 
     * **clients** call :meth:`submit` (thread-safe, non-blocking) and
-      hold the returned future;
-    * one **dispatcher** pulls micro-batches from the intake
-      (:class:`FifoIntake` by default; pass ``intake=PriorityIntake()``
-      for priority/deadline dispatch) and assigns each batch to the
-      eligible lane with the fewest outstanding rows;
-    * one **worker per lane** serves its queue in order, optionally
+      hold the returned future; the request waits in the engine's one
+      :class:`PriorityIntake` (arrival order unless requests set
+      ``priority``/``deadline``);
+    * one **worker per lane**, whenever the lane is free, pulls the next
+      micro-batch it may serve from the intake, serves it, optionally
       holds the lane for the batch's simulated latency (``time_scale``
       wall-seconds per simulated ns), then resolves each request's
-      future with its slice of the batch result.
+      future with its slice of the batch result.  A lane holds at most
+      one micro-batch, so everything not being served stays in the
+      intake, in urgency order.
 
     :meth:`shutdown` drains in-flight work (``wait=True``, the default —
     every already-submitted future resolves), aborts it (``wait=False``
@@ -698,7 +638,6 @@ class ServingEngine:
         max_wait: float = 0.002,
         time_scale: float = 0.0,
         split: Optional[Callable] = None,
-        intake=None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be a positive row count")
@@ -732,7 +671,7 @@ class ServingEngine:
             # width per tenant, and every submit must name its tenant.
             self._tenants, self._features = _probe_widths(backends[0])
 
-        self._intake = intake if intake is not None else FifoIntake()
+        self._intake = PriorityIntake()
         self._lock = threading.Lock()
         self._closed = False
         self._abort = False
@@ -745,9 +684,10 @@ class ServingEngine:
         self.zero_copy_batches = 0
         #: Completed requests' tracing spans, newest last (bounded).
         self._trace: deque = deque(maxlen=4096)
-        #: Called (with the batch's tenant) after every served batch —
-        #: the completion signal a cluster autoscaler shrinks on.
-        self.on_batch_done: Optional[Callable[[Optional[str]], None]] = None
+        #: Called with the lane after each batch it served, on the
+        #: lane's own thread before it takes another — where a cluster
+        #: autoscaler can retire the lane with its accounting final.
+        self.on_batch_done: Optional[Callable[[_Lane], None]] = None
 
         if self.session is not None:
             for index, replica in enumerate(backends):
@@ -755,10 +695,6 @@ class ServingEngine:
         else:
             for replica in backends:
                 self._start_lane(self._backend_lane(replica))
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, daemon=True, name="serving-dispatch"
-        )
-        self._dispatcher.start()
 
     # -------------------------------------------------------- lane plumbing
     def _session_lane(self, index: int, replica) -> _Lane:
@@ -811,24 +747,14 @@ class ServingEngine:
         )
         return self._start_lane(lane)
 
-    def remove_lane(
-        self, lane: _Lane, error: Optional[BaseException] = None
-    ) -> None:
+    def remove_lane(self, lane: _Lane) -> None:
         """Retire a lane at runtime (autoscale-down / tenant eviction).
 
-        Already-queued batches on the lane fail with ``error`` (default
-        :class:`~repro.runtime.backend.ClusterShutdown`) rather than
-        being served by a backend the control plane has retired.  The
-        worker thread winds down asynchronously (it may be the caller).
+        The lane finishes the batch it is serving, if any, and takes no
+        other; its worker thread exits on its own (it may be the
+        caller).
         """
-        with self._lock:
-            if not lane.alive:
-                return
-            lane.alive = False
-            lane.retire_error = error or ClusterShutdown(
-                "the serving lane was retired before this request ran"
-            )
-        lane.inbox.put(_SHUTDOWN)
+        self._intake.retire(lane)
 
     def lanes(self, tenant: Optional[str] = None) -> List[_Lane]:
         """The live lanes, optionally only those serving ``tenant``."""
@@ -858,22 +784,15 @@ class ServingEngine:
                 self._tenants.pop(tenant, None)
 
     def drain_tenant(self, tenant: str, error: BaseException) -> int:
-        """Fail a tenant's queued (undispatched) requests with ``error``
-        (eviction); returns how many were failed.  Requires an intake
-        that supports per-tenant draining (:class:`PriorityIntake`)."""
-        drain = getattr(self._intake, "drain_tenant", None)
-        if drain is None:
-            return 0
-        requests = drain(tenant)
-        for request in requests:
-            self._resolve(request.future.set_exception, error)
+        """Fail a tenant's queued requests with ``error`` (eviction);
+        returns how many were failed."""
+        requests = self._intake.drain(lambda request: request.tenant == tenant)
+        self._fail_batch(requests, error)
         return len(requests)
 
     def pending_rows(self, tenant: Optional[str] = None) -> int:
-        """Queued (undispatched) rows, optionally one tenant's; 0 when
-        the intake cannot tell (plain FIFO)."""
-        pending = getattr(self._intake, "pending_rows", None)
-        return 0 if pending is None else pending(tenant)
+        """Queued rows no lane has taken yet, optionally one tenant's."""
+        return self._intake.pending_rows(tenant)
 
     def mutate(self, fn: Callable, tenant: Optional[str] = None) -> List:
         """Apply a store mutation to every serving lane, safely
@@ -931,15 +850,14 @@ class ServingEngine:
         engine shuts down with ``wait=False`` before serving it.
 
         ``priority`` (higher = more urgent, default 0) and ``deadline``
-        (seconds from now; requests with earlier deadlines dispatch
-        first within a priority class) order dispatch when the engine
-        runs a :class:`PriorityIntake`; the default FIFO intake carries
-        them but serves in arrival order.
+        (seconds from now; earlier deadlines are served first within a
+        priority class) order the intake; with neither set, requests are
+        served in arrival order.
 
         Over a multi-tenant fleet every request names its ``tenant``;
-        the dispatcher only coalesces requests of the same tenant into a
-        micro-batch, so one serving fleet multiplexes all the colocated
-        kernels without ever mixing their queries.
+        a micro-batch only ever holds requests of one tenant, so one
+        serving fleet multiplexes all the colocated kernels without ever
+        mixing their queries.
         """
         batch = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if batch.ndim != 2 or batch.shape[0] == 0:
@@ -1002,82 +920,32 @@ class ServingEngine:
         batch = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         return [self.submit(row, tenant=tenant) for row in batch]
 
-    # ---------------------------------------------------------- dispatcher
-    def _dispatch_loop(self) -> None:
-        while True:
-            item = self._intake.next_batch(self.max_batch, self.max_wait)
-            if item is None:
-                break
-            self._dispatch(*item)
-
-    def _dispatch(self, batch: List[_Request], rows: int) -> None:
-        tenant = batch[0].tenant
-        # Zero-copy handoff: a single-request batch passes its array
-        # straight through, and row-aligned requests (consecutive
-        # slices of one buffer) coalesce into a view; only genuinely
-        # scattered requests pay the concatenation copy.
-        zero_copy = True
-        if len(batch) == 1:
-            queries = batch[0].queries
-        else:
-            queries = _rowaligned_view([r.queries for r in batch])
-            if queries is None:
-                zero_copy = False
-                queries = np.concatenate(
-                    [r.queries for r in batch], axis=0
-                )
-        dispatched = time.perf_counter()
-        for request in batch:
-            request.t_dispatch = dispatched
-        # The alive-check and the inbox put are atomic under the engine
-        # lock: remove_lane flips `alive` under the same lock before it
-        # enqueues the shutdown sentinel, so a dispatched batch always
-        # precedes the sentinel (the worker fails it with the lane's
-        # retire error) and can never be stranded behind it.
-        with self._lock:
-            eligible = [
-                lane for lane in self._lanes
-                if lane.alive and lane.tenant in (None, tenant)
-            ]
-            if eligible:
-                lane = min(eligible, key=lambda x: x.outstanding)
-                lane.outstanding += rows
-                lane.rows_dispatched += rows
-                self.batches_dispatched += 1
-                if zero_copy:
-                    self.zero_copy_batches += 1
-                lane.inbox.put((batch, queries, tenant, dispatched))
-                return
-            # A control-plane decision (eviction, teardown) removed the
-            # last lane between queueing and dispatch.
-            error = self._abort_error or ClusterShutdown(
-                f"no serving lane accepts tenant {tenant!r} (it was "
-                "evicted while the request was queued)"
-            )
-        for request in batch:
-            self._resolve(request.future.set_exception, error)
-
     # ------------------------------------------------------------- workers
-    def _pace(self, lane: _Lane, dispatched: float) -> None:
-        """Book the lane's simulated batch latency on the wall clock.
+    def _pace(self, lane: _Lane, batch: List[_Request],
+              dispatched: float) -> None:
+        """Hold the lane for the batch's simulated latency on the wall
+        clock; the lane takes its next batch only after the hold ends.
 
-        Occupancy is booked back-to-back from the *dispatch* time: a
-        micro-batch that arrives while the device is still busy starts
-        when it frees, so a queued lane drains at exactly its service
-        rate (absolute deadlines — host scheduling jitter does not
-        accumulate), while an idle lane charges the full service time
-        from arrival.  This is the fixed-latency-device behaviour the
-        async-serving benchmarks measure.
+        The hold starts when the device could first have started the
+        batch: when its last request arrived, or when the lane's
+        previous hold ended, if that is later.  So a backlogged lane
+        drains at exactly its service rate, and host time between holds
+        (lanes waiting for the interpreter lock, a late worker thread)
+        does not accumulate.  It starts at most one hold before the lane
+        took the batch, though: a lane whose thread stalled catches up
+        one batch, not a burst that would take other lanes' share of
+        the queue.
         """
         if self.time_scale <= 0.0:
             return
         report = getattr(lane.backend, "last_report", None)
         if report is None:
             return
-        busy_s = report.query_latency_ns * self.time_scale
-        target = max(dispatched, lane.busy_until) + busy_s
-        lane.busy_until = target
-        remaining = target - time.perf_counter()
+        hold = report.query_latency_ns * self.time_scale
+        arrived = max(request.t_submit for request in batch)
+        start = max(arrived, lane.busy_until, dispatched - hold)
+        lane.busy_until = start + hold
+        remaining = lane.busy_until - time.perf_counter()
         if remaining > 0:
             time.sleep(remaining)
 
@@ -1091,51 +959,69 @@ class ServingEngine:
 
     def _worker_loop(self, lane: _Lane) -> None:
         while True:
-            item = lane.inbox.get()
-            if item is _SHUTDOWN:
-                break
-            batch, queries, tenant, dispatched = item
-            try:
-                if self._abort:
-                    self._fail_batch(batch, self._abort_error)
-                    continue
-                if not lane.alive:
-                    # The control plane retired this lane with work
-                    # still queued (eviction): fail, don't serve.
-                    self._fail_batch(batch, lane.retire_error)
-                    continue
-                # Any failure — the backend, the pacing, or splitting
-                # the result — is delivered to the batch's futures; the
-                # lane itself must survive to serve later batches.
+            item = self._intake.next_batch(
+                self.max_batch, self.max_wait, lane
+            )
+            if item is None:
+                return
+            batch, rows = item
+            if self._abort:
+                self._fail_batch(batch, self._abort_error)
+                continue
+            self._serve_batch(lane, batch, rows)
+            callback = self.on_batch_done
+            if callback is not None:
                 try:
-                    with lane.lock:
-                        started = time.perf_counter()
-                        result = lane.serve(queries, tenant)
-                    self._pace(lane, dispatched)
-                    served = time.perf_counter()
-                    offset = 0
-                    for request in batch:
-                        request.t_serve_start = started
-                        request.t_serve_end = served
-                        piece = self._split(
-                            result, offset, offset + request.rows
-                        )
-                        offset += request.rows
-                        self._resolve(request.future.set_result, piece)
-                        request.t_done = time.perf_counter()
-                    self._record_trace(batch)
-                except BaseException as exc:
-                    for request in batch:
-                        self._resolve(request.future.set_exception, exc)
-            finally:
-                with self._lock:
-                    lane.outstanding -= sum(r.rows for r in batch)
-                callback = self.on_batch_done
-                if callback is not None:
-                    try:
-                        callback(tenant)
-                    except Exception:
-                        pass  # a scaling hiccup must not kill the lane
+                    callback(lane)
+                except Exception:
+                    pass  # a scaling hiccup must not kill the lane
+
+    def _serve_batch(self, lane: _Lane, batch: List[_Request],
+                     rows: int) -> None:
+        tenant = batch[0].tenant
+        # Any failure — assembling the batch, the backend, the pacing,
+        # or splitting the result — is delivered to the batch's
+        # futures; the lane itself must survive to serve later batches.
+        try:
+            # Zero-copy handoff: a single-request batch passes its array
+            # straight through, and row-aligned requests (consecutive
+            # slices of one buffer) coalesce into a view; only genuinely
+            # scattered requests pay the concatenation copy.
+            zero_copy = True
+            if len(batch) == 1:
+                queries = batch[0].queries
+            else:
+                queries = _rowaligned_view([r.queries for r in batch])
+                if queries is None:
+                    zero_copy = False
+                    queries = np.concatenate(
+                        [r.queries for r in batch], axis=0
+                    )
+            dispatched = time.perf_counter()
+            for request in batch:
+                request.t_dispatch = dispatched
+            with self._lock:
+                lane.rows_dispatched += rows
+                self.batches_dispatched += 1
+                if zero_copy:
+                    self.zero_copy_batches += 1
+            with lane.lock:
+                started = time.perf_counter()
+                result = lane.serve(queries, tenant)
+            self._pace(lane, batch, dispatched)
+            served = time.perf_counter()
+            offset = 0
+            for request in batch:
+                request.t_serve_start = started
+                request.t_serve_end = served
+                piece = self._split(result, offset, offset + request.rows)
+                offset += request.rows
+                self._resolve(request.future.set_result, piece)
+                request.t_done = time.perf_counter()
+            self._record_trace(batch)
+        except BaseException as exc:
+            for request in batch:
+                self._resolve(request.future.set_exception, exc)
 
     @staticmethod
     def _resolve(setter, payload) -> None:
@@ -1149,7 +1035,9 @@ class ServingEngine:
         """Stop the engine.  Idempotent.
 
         ``wait=True`` (default) drains: every request submitted before
-        the call is served and its future resolved before this returns.
+        the call is served and its future resolved before this returns
+        (one whose tenant has no live lane left fails with
+        :class:`~repro.runtime.backend.ClusterShutdown`).
         ``wait=False`` aborts: queued and not-yet-served requests get
         their futures cancelled; only the batches already inside a
         backend finish.  ``abort=True`` aborts like ``wait=False`` but
@@ -1159,7 +1047,6 @@ class ServingEngine:
         eviction) clients can distinguish and retry elsewhere.
         """
         with self._lock:
-            already = self._closed
             self._closed = True
         if abort:
             self._abort_error = ClusterShutdown(
@@ -1168,32 +1055,33 @@ class ServingEngine:
             wait = False
         if not wait:
             self._abort = True
-        if already:
-            # A later, stricter shutdown still propagates the abort;
-            # the threads are already winding down.
-            self._join_workers()
-            return
         self._intake.close()
-        self._dispatcher.join()
         if not wait:
-            # Requests still sitting in the intake never reached a
-            # lane: fail them the same way the workers fail theirs.
-            drain = getattr(self._intake, "drain", None)
-            if drain is not None:
-                self._fail_batch(drain(), self._abort_error)
-        with self._lock:
-            lanes = list(self._lanes)
-        for lane in lanes:
-            lane.inbox.put(_SHUTDOWN)
-        self._join_workers()
-
-    def _join_workers(self) -> None:
+            # Requests still in the intake never reached a lane: fail
+            # them the way a worker fails a batch it takes after this.
+            self._fail_batch(self._intake.drain(), self._abort_error)
         with self._lock:
             lanes = list(self._lanes)
         me = threading.current_thread()
         for lane in lanes:
             if lane.thread is not None and lane.thread is not me:
                 lane.thread.join()
+        # Each joined worker left nothing it could serve, so what is
+        # still queued belongs to tenants with no live lane (when a
+        # done-callback shuts down, its own lane serves its share after
+        # this returns): fail it rather than strand it.
+        live = [lane for lane in lanes if lane.alive]
+        self._fail_batch(
+            self._intake.drain(
+                lambda request: not any(
+                    lane.tenant in (None, request.tenant) for lane in live
+                )
+            ),
+            ClusterShutdown(
+                "the serving engine shut down with no lane left to serve "
+                "this request"
+            ),
+        )
 
     def __enter__(self) -> "ServingEngine":
         return self
@@ -1222,7 +1110,8 @@ class ServingEngine:
         return merge_concurrent_reports(reports)
 
     def stats(self) -> dict:
-        """Scheduler counters: what was submitted and how it was routed."""
+        """Scheduler counters: what was submitted and which lanes took
+        it."""
         with self._lock:
             return {
                 "requests_submitted": self.requests_submitted,
@@ -1231,9 +1120,6 @@ class ServingEngine:
                 "rows_dispatched": [
                     lane.rows_dispatched for lane in self._lanes
                 ],
-                "outstanding_rows": sum(
-                    lane.outstanding for lane in self._lanes
-                ),
             }
 
     # ------------------------------------------------------------- tracing
@@ -1246,9 +1132,10 @@ class ServingEngine:
         """Per-phase latency percentiles over recently served requests.
 
         Phases follow one request through the serving path:
-        ``queue`` (submit -> pulled into a forming micro-batch),
-        ``coalesce`` (riding the batch until it closes and dispatches),
-        ``run`` (lane inbox wait + backend service + pacing),
+        ``queue`` (submit -> a free lane starts forming its micro-batch;
+        includes waiting for a free lane), ``coalesce`` (riding the
+        batch until the lane takes it), ``run`` (backend service +
+        pacing),
         ``merge`` (splitting the batch result and resolving the
         future), plus ``total`` (submit -> resolved).  Values are
         wall-clock seconds; ``tenant`` restricts the summary to one

@@ -8,8 +8,10 @@ from repro.ir.context import load_all_dialects
 load_all_dialects()
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture()
 def rng():
+    """A fresh generator per test, always seeded alike: adding or
+    deleting a test cannot shift another test's data."""
     return np.random.default_rng(12345)
 
 

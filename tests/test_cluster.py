@@ -2,7 +2,7 @@
 
 Covers :class:`~repro.runtime.cluster.Cluster` — runtime
 ``admit``/``evict`` with defragmenting re-placement, sharded-tenant
-placement, the priority/deadline dispatcher
+placement, the priority/deadline intake
 (:class:`~repro.runtime.serving.PriorityIntake`), queue-depth
 autoscaling and epoch-aware accounting
 (:func:`~repro.simulator.metrics.combine_epoch_reports`) — plus the

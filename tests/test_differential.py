@@ -383,7 +383,7 @@ def _assert_placement_invariants(cluster):
 
 def test_cluster_async_priority_differential():
     """Randomly chunked, mixed-priority async submission through the
-    cluster dispatcher returns exactly the solo kernels' results."""
+    cluster's serving path returns exactly the solo kernels' results."""
     from repro.runtime import Cluster
 
     rng = np.random.default_rng(88)

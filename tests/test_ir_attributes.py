@@ -14,7 +14,7 @@ from repro.ir.attributes import (
     as_attribute,
     parse_attribute,
 )
-from repro.ir.types import TensorType, f32, i32
+from repro.ir.types import TensorType, f32
 
 
 class TestAttributeKinds:

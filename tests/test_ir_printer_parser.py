@@ -11,7 +11,7 @@ from repro.ir.builder import OpBuilder
 from repro.ir.module import ModuleOp
 from repro.ir.parser import ParseError, parse_module, parse_operation
 from repro.ir.printer import print_module
-from repro.ir.types import FunctionType, TensorType, f32, index
+from repro.ir.types import FunctionType, TensorType, f32
 from repro.ir.verifier import verify
 
 

@@ -666,9 +666,7 @@ class TestTenantPool:
             timeout=30
         )[1][0, 0] == 2
         engine = cluster._engine
-        threads = [engine._dispatcher] + [
-            lane.thread for lane in engine._lanes
-        ]
+        threads = [lane.thread for lane in engine._lanes]
         assert all(thread.is_alive() for thread in threads)
         pool.reset()
         assert not pool.is_open

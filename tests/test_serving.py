@@ -8,6 +8,7 @@ multi-producer soak test asserting that no result is ever cross-wired
 between interleaved requests.
 """
 
+import sys
 import threading
 import time
 from concurrent.futures import CancelledError
@@ -212,7 +213,7 @@ class TestServingEngine:
         # (timing-dependent), never fewer than the cap allows.
         assert 3 <= stats["batches_dispatched"] <= 10
         assert sum(stats["rows_dispatched"]) == 10
-        assert stats["outstanding_rows"] == 0
+        assert engine.pending_rows() == 0
 
     def test_max_wait_flushes_partial_batches(self, dot_kernel,
                                               bipolar_store):
@@ -333,7 +334,97 @@ class TestServingEngine:
 
 
 # --------------------------------------------------------------------------
-# Request tracing and the zero-copy dispatch path
+# Scheduling contract: lanes pull from one priority intake (no wall clock)
+# --------------------------------------------------------------------------
+class _GatedBackend:
+    """Blocks inside ``run_batch`` until ``gate`` opens and records the
+    request ids it served (each query row is filled with its id).
+    ``entered`` is released once per batch that reaches the backend, so
+    a test can wait for busy lanes without sleeping."""
+
+    def __init__(self, gate, entered, served):
+        self.gate, self.entered, self.served = gate, entered, served
+
+    def run_batch(self, queries):
+        self.served.extend(int(row[0]) for row in queries)
+        self.entered.release()
+        self.gate.wait()
+        return np.array(queries, copy=True)
+
+
+def _query(request_id):
+    return np.full(4, float(request_id))
+
+
+class TestSchedulingContract:
+    """A lane holds at most one micro-batch; everything not being
+    served stays in the one priority/EDF intake; a retired lane
+    finishes its batch and takes no other."""
+
+    def test_busy_lanes_leave_the_backlog_queued(self):
+        gate, entered, served = threading.Event(), threading.Semaphore(0), []
+        engine = ServingEngine(
+            [_GatedBackend(gate, entered, served) for _ in range(2)],
+            max_batch=1, max_wait=0.0,
+        )
+        try:
+            futures = [engine.submit(_query(i)) for i in range(10)]
+            for _ in range(2):
+                assert entered.acquire(timeout=30), "a lane never started"
+            # Each lane holds its one batch; the other 8 rows stay in
+            # the intake, where priority and EDF still order them.
+            assert engine.pending_rows() == 8
+        finally:
+            gate.set()
+            engine.shutdown()
+        for request_id, future in enumerate(futures):
+            assert future.result(timeout=0)[0, 0] == request_id
+        assert sorted(served) == list(range(10))
+
+    def test_urgent_requests_overtake_the_backlog(self):
+        gate, entered, served = threading.Event(), threading.Semaphore(0), []
+        engine = ServingEngine(
+            [_GatedBackend(gate, entered, served)], max_batch=1, max_wait=0.0
+        )
+        try:
+            low = [engine.submit(_query(i)) for i in range(6)]
+            assert entered.acquire(timeout=30)  # the lane serves low 0
+            high = [
+                engine.submit(_query(100 + i), priority=5) for i in range(3)
+            ]
+        finally:
+            gate.set()
+            engine.shutdown()
+        for future in low + high:
+            future.result(timeout=0)
+        assert served == [0, 100, 101, 102, 1, 2, 3, 4, 5]
+
+    def test_retired_lane_finishes_its_batch_and_takes_no_other(self):
+        gate, entered = threading.Event(), threading.Semaphore(0)
+        first_served, second_served = [], []
+        engine = ServingEngine(
+            [_GatedBackend(gate, entered, first_served)],
+            max_batch=1, max_wait=0.0,
+        )
+        try:
+            futures = [engine.submit(_query(0))]
+            assert entered.acquire(timeout=30)  # the lane serves 0
+            futures += [engine.submit(_query(i)) for i in (1, 2, 3)]
+            (retired,) = engine.lanes()
+            engine.remove_lane(retired)
+            engine.add_lane(_GatedBackend(gate, entered, second_served))
+        finally:
+            gate.set()
+            engine.shutdown()
+        for request_id, future in enumerate(futures):
+            assert future.result(timeout=0)[0, 0] == request_id
+        assert first_served == [0]
+        assert second_served == [1, 2, 3]
+        assert not retired.thread.is_alive()
+
+
+# --------------------------------------------------------------------------
+# Request tracing and the zero-copy batch path
 # --------------------------------------------------------------------------
 class _CapturingBackend:
     """Records exactly the array object each micro-batch handed over."""
@@ -380,8 +471,8 @@ class TestTracingAndZeroCopy:
         assert stats["batches_dispatched"] == 1
 
     def test_row_aligned_map_coalesces_without_copy(self):
-        """map() rows are consecutive views of one buffer; the
-        dispatcher must stitch them back into a view of that buffer —
+        """map() rows are consecutive views of one buffer; the lane
+        must stitch them back into a view of that buffer —
         and the view must carry every row, not the first row repeated
         (regression: a (1, N) row view is C-contiguous with a zero
         leading stride, which naive stride extension replicates)."""
@@ -475,6 +566,59 @@ class TestConcurrencySoak:
         assert sum(stats["rows_dispatched"]) == total
         # The deployment report saw every query exactly once.
         assert engine.report().queries == total
+
+    def test_pinned_lanes_take_each_request_once(self):
+        """Six tenant-pinned lanes pull from the one intake while four
+        producers submit, with a shortened switch interval: every
+        request is served exactly once, by a lane of its own tenant."""
+        tenants, per_producer, producers = ("a", "b", "c"), 40, 4
+        served = []
+
+        class Recording:
+            def __init__(self, tenant):
+                self.tenant = tenant
+
+            def run_batch(self, queries):
+                served.extend((self.tenant, int(row[0])) for row in queries)
+                return np.array(queries, copy=True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            engine = ServingEngine(None, max_batch=3, max_wait=0.0005)
+            for tenant in tenants:
+                engine.register_tenant(tenant, 4)
+                for _ in range(2):
+                    engine.add_lane(Recording(tenant), tenant=tenant)
+            futures = []
+
+            def producer(worker: int) -> None:
+                for n in range(per_producer):
+                    request_id = worker * per_producer + n
+                    futures.append((request_id, engine.submit(
+                        _query(request_id),
+                        tenant=tenants[request_id % len(tenants)],
+                    )))
+
+            threads = [
+                threading.Thread(target=producer, args=(i,))
+                for i in range(producers)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive(), "producer deadlocked"
+            for request_id, future in futures:
+                assert future.result(timeout=60)[0, 0] == request_id
+            engine.shutdown()
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [
+            (tenants[i % len(tenants)], i)
+            for i in range(producers * per_producer)
+        ]
+        assert sorted(served) == sorted(expected)
 
     def test_shutdown_races_with_producers(self, dot_kernel, bipolar_store):
         """shutdown(wait=True) concurrent with the last submissions:

@@ -544,8 +544,9 @@ class C4CAMCompiler:
         identical, and reports aggregate the concurrent deployment
         (``kernel.session().report()``).  Combine with
         :meth:`CompiledKernel.serve` for the async micro-batching front
-        door.  Replication compiles *once*: replicas clone the session's
-        artifacts and only re-program their own machines.
+        door.  Replication compiles *once* and walks the module once:
+        replicas clone the session's artifacts and replay its recorded
+        programming onto their own machines.
 
         ``fused`` (default on) serves batches through the traced
         :class:`~repro.runtime.fused.FusedPlan` — bitwise identical to

@@ -441,9 +441,8 @@ class Cluster(ExecutionBackend, MachineGroupView):
                     record.engine_lane = engine.add_lane(
                         record, tenant=tid, serve=record.serve
                     )
-        # Extra initial lanes clone outside the control-plane lock —
-        # programming machines is slow and must not stall concurrent
-        # submits/evicts.
+        # Extra initial lanes clone outside the control-plane lock, like
+        # autoscaled ones (see _add_scaled_lane).
         for _ in range(lanes - 1):
             self._add_scaled_lane(tid, reason="admit")
         return tid
@@ -1237,18 +1236,29 @@ class Cluster(ExecutionBackend, MachineGroupView):
     def _add_scaled_lane(self, tenant_id: str, reason: str) -> None:
         """Clone the tenant's primary session onto a private machine and
         attach it as a new serving lane."""
-        with self._admit_lock:
-            tenant = self._tenants.get(tenant_id)
-            if tenant is None:
-                return
-            base = tenant.lanes[0].backend
-        # The clone programs a fresh machine — slow; done outside the
-        # control-plane lock so admits/evicts/submits keep flowing.
-        backend = base.clone()
+        while True:
+            with self._admit_lock:
+                tenant = self._tenants.get(tenant_id)
+                if tenant is None:
+                    return
+                primary = tenant.lanes[0]
+            generation = primary.generation
+            # Under the primary lane's lock, so the clone copies a store
+            # no mutation is midway through; outside the control-plane
+            # lock, so admits/evicts/submits keep flowing meanwhile.
+            with primary.lock:
+                if primary.generation != generation:
+                    continue  # defragged while waiting: rebind
+                backend = primary.backend.clone()
+            break
         with self._admit_lock:
             tenant = self._tenants.get(tenant_id)
             if tenant is None or self._closed:
                 return  # evicted while the clone programmed: discard
+            # A mutation that returned between the clone and here was
+            # mirrored to the lanes attached then, not to this one.
+            if tenant.store_state is not None:
+                backend.restore(tenant.store_state)
             record = _LaneRecord(
                 backend, threading.Lock(), LaneStats(backend), scaled=True,
                 machine_index=None,

@@ -395,8 +395,12 @@ class PlacementCost:
         )
 
     def machine_load_ns(self, tenant_ids: Iterable[str]) -> float:
-        """A machine's offered load: the co-residents' summed burden."""
-        return sum(self.burden_ns(tid) for tid in tenant_ids)
+        """A machine's offered load: the co-residents' summed burden.
+
+        Summed in sorted tenant order: a float sum's last bits depend on
+        its order, and callers pass sets, whose string order changes
+        with each process's hash seed."""
+        return sum(self.burden_ns(tid) for tid in sorted(tenant_ids))
 
     def response_ns(
         self, tenant_id: str, co_resident: Iterable[str]

@@ -13,6 +13,12 @@ control structure:
 * ``cam.write_value`` is charged to a separate *setup* clock (stored
   patterns are programmed once, queries stream afterwards).
 
+Every walk records the programming it does (:attr:`Interpreter.programming`):
+the hierarchy allocations and tile writes, in order, with each write's
+setup-clock stamp — what a
+:class:`~repro.runtime.session.QuerySession` replays to program a
+replica without walking the module again.
+
 The same interpreter executes pre-lowering IR (torch / cim dialects) with
 numpy semantics at zero cost — that is the host reference path used for
 functional validation.
@@ -84,6 +90,11 @@ class Interpreter:
         # streams through it.
         self.query_count = 0
         self._segment_batch = 0
+        #: The machine's programming calls this walk made, in order, as
+        #: ``(method, *args)`` with the machine's own ids: every
+        #: ``alloc_*`` and every ``write_value`` (a private float64 copy
+        #: of the tile, its row offset and its setup-clock stamp).
+        self.programming: List[tuple] = []
 
     def _flush_query_segment(self) -> None:
         self.query_count += self._segment_batch
@@ -143,6 +154,12 @@ class Interpreter:
                 f"lowered cam IR)"
             )
         return self.machine
+
+    def _program(self, op: Operation, method: str, *args):
+        """Make one programming call on the machine and record it."""
+        result = getattr(self._require_machine(op), method)(*args)
+        self.programming.append((method, *args))
+        return result
 
 
 def _coerce_input(arg: Value, value) -> object:
@@ -397,28 +414,29 @@ def _tensor_dim(ip, op, env, t):
 # ----- cam ------------------------------------------------------------------
 @_op("cam.alloc_bank")
 def _cam_alloc_bank(ip, op, env, t):
-    env.set(op.result, ip._require_machine(op).alloc_bank())
+    env.set(op.result, ip._program(op, "alloc_bank"))
     return t
 
 
 @_op("cam.alloc_mat")
 def _cam_alloc_mat(ip, op, env, t):
-    machine = ip._require_machine(op)
-    env.set(op.result, machine.alloc_mat(env.get(op.operands[0])))
+    env.set(op.result, ip._program(op, "alloc_mat", env.get(op.operands[0])))
     return t
 
 
 @_op("cam.alloc_array")
 def _cam_alloc_array(ip, op, env, t):
-    machine = ip._require_machine(op)
-    env.set(op.result, machine.alloc_array(env.get(op.operands[0])))
+    env.set(
+        op.result, ip._program(op, "alloc_array", env.get(op.operands[0]))
+    )
     return t
 
 
 @_op("cam.alloc_subarray")
 def _cam_alloc_subarray(ip, op, env, t):
-    machine = ip._require_machine(op)
-    env.set(op.result, machine.alloc_subarray(env.get(op.operands[0])))
+    env.set(
+        op.result, ip._program(op, "alloc_subarray", env.get(op.operands[0]))
+    )
     return t
 
 
@@ -446,14 +464,13 @@ def _cam_query_start(ip, op, env, t):
 
 @_op("cam.write_value")
 def _cam_write_value(ip, op, env, t):
-    machine = ip._require_machine(op)
-    duration = machine.write_value(
-        env.get(op.operands[0]),
-        np.asarray(env.get(op.operands[1])),
-        op.row_offset,
-        at=ip.setup_time,
+    # A copy: the recorded tile must not follow later writes to the
+    # walk's buffers.
+    tile = np.array(env.get(op.operands[1]), dtype=np.float64)
+    ip.setup_time += ip._program(
+        op, "write_value", env.get(op.operands[0]), tile, op.row_offset,
+        ip.setup_time,
     )
-    ip.setup_time += duration
     return t
 
 

@@ -13,8 +13,10 @@ best path:
 * :class:`ReplicatedSession` — R independently programmed **replicas**
   of one (possibly sharded) store.  Replicas are cloned from the
   compiled session (``clone()``: same lowered modules, plans and query
-  programs — nothing recompiles; only the per-copy machine programming
-  that real replicated hardware genuinely pays).  Each batch routes to
+  programs — nothing recompiles, and the module is not walked again: a
+  replica replays the compiled session's recorded programming onto its
+  own machine, the per-copy programming real replicated hardware
+  genuinely pays, charged bitwise as a walk would).  Each batch routes to
   the least-loaded replica; per-replica "lane" accounting merges into an
   honest concurrent report
   (:func:`~repro.simulator.metrics.merge_concurrent_reports`): energy
@@ -96,8 +98,10 @@ class ReplicatedSession(ExecutionBackend, MachineGroupView):
 
     Wraps a compiled :class:`~repro.runtime.session.QuerySession` or
     :class:`~repro.runtime.sharding.ShardedSession` and clones it
-    ``num_replicas - 1`` times — sharing every compiled artifact,
-    programming a fresh machine (or machine group) per copy.  Unlike
+    ``num_replicas - 1`` times — sharing every compiled artifact and
+    the base's recorded programming, which each copy replays onto a
+    fresh machine (or machine group) instead of walking the module, and
+    tracing each copy's fused plan up front.  Unlike
     sharding, every replica holds the *whole* store: replication buys
     concurrent serving capacity, not rows.
 

@@ -8,7 +8,10 @@ deployment writes the stored set once and answers queries from then on.
 * **setup walk** — the lowered module is interpreted once, which
   allocates the hierarchy, programs every stored-pattern tile (charged to
   the setup clock) and measures the structural per-query latency from
-  the IR's loop nest;
+  the IR's loop nest.  The session keeps the walk's recorded programming
+  (:class:`Programming`), and :meth:`QuerySession.clone` replays it
+  onto the replica's fresh machine instead of walking the module again
+  — program once, copy many;
 * **batched streaming** — :meth:`QuerySession.run_batch` answers a whole
   ``B×D`` query matrix against the *live* machine: match-line scores for
   the entire batch are computed in one vectorized step per subarray
@@ -106,6 +109,32 @@ class _RowGroup:
 
 
 @dataclass(frozen=True)
+class Programming:
+    """One setup walk's machine programming, recorded for replicas.
+
+    ``calls`` are the walk's ``alloc_*`` and ``write_value`` calls on
+    the machine, in order, as ``(method, *args)``; ids are relative to
+    the session's own slice of the machine, so on a fresh private
+    machine they are the machine's ids.  Replaying them there, then
+    taking the walk's two latencies, leaves the machine, its charges and
+    the session's setup figures bitwise as the walk would — also for a
+    walk that ran colocated on a shared machine.  A session never
+    changes its record, so clones share it.
+    """
+
+    calls: Tuple[tuple, ...]
+    setup_latency_ns: float
+    per_query_latency_ns: float
+
+
+#: The allocation level each recorded call's first argument (a parent
+#: or target id) counts at: banks, mats, arrays, subarrays.
+_CALL_LEVEL = {
+    "alloc_mat": 0, "alloc_array": 1, "alloc_subarray": 2, "write_value": 3,
+}
+
+
+@dataclass(frozen=True)
 class QueryProgram:
     """The query-phase structure of one lowered similarity kernel.
 
@@ -185,6 +214,19 @@ class QuerySession(ExecutionBackend):
         compact_threshold: float = 0.5,
         fused: bool = True,
     ):
+        self._bind(
+            module, spec, tech, parameters, program, func_name,
+            noise_sigma, noise_seed, machine, fused,
+        )
+        self._program_machine()
+        self._init_mutable_store(compact_threshold)
+
+    def _bind(
+        self, module, spec, tech, parameters, program, func_name,
+        noise_sigma, noise_seed, machine, fused,
+    ) -> None:
+        """Set the compiled artifacts and open the (unprogrammed)
+        machine: everything a session holds before programming."""
         self.module = module
         self.spec = spec
         self.tech = tech
@@ -234,8 +276,6 @@ class QuerySession(ExecutionBackend):
         # next fused batch, re-reading the slots written or erased since.
         self._plan_stale = False
         self._touched_slots: set = set()
-        self._program_machine()
-        self._init_mutable_store(compact_threshold)
 
     def _init_mutable_store(self, compact_threshold: float) -> None:
         """Set up the slot directory over the freshly programmed tiles.
@@ -309,15 +349,57 @@ class QuerySession(ExecutionBackend):
             self._rows = {}
 
     # ------------------------------------------------------------ lifecycle
-    def _program_machine(self) -> None:
-        """One interpreter walk: allocate, program, measure the clock.
+    def _alloc_counts(self) -> Tuple[int, int, int, int]:
+        machine = self.machine
+        return (
+            machine.banks_used,
+            machine.mats_used,
+            machine.arrays_used,
+            machine.subarrays_used,
+        )
 
-        The walk runs the traced batch of zero queries through the full
-        lowered module.  Pattern writes land on the machine (they are the
-        point); the structural per-query latency is read off the report;
-        query-side counters are then reset so batch reports account only
-        their own work.
+    def _program_machine(
+        self, programming: Optional[Programming] = None
+    ) -> None:
+        """Allocate and program this session's slice of the machine.
+
+        Without ``programming`` this is the setup walk: the interpreter
+        runs the traced batch of zero queries through the full lowered
+        module, programming the machine (the point) and measuring the
+        structural per-query latency, and the session keeps the walk's
+        recorded programming.  With a record (a replica), its calls are
+        replayed instead.  Query-side counters are then reset so batch
+        reports account only their own work.
         """
+        machine = self.machine
+        write_before = machine.energy.write
+        rows_before = machine.rows_written
+        counts_before = self._alloc_counts()
+        if programming is None:
+            programming = self._walk(counts_before)
+        else:
+            for method, *args in programming.calls:
+                getattr(machine, method)(*args)
+        self._programming = programming
+        self.setup_latency_ns = programming.setup_latency_ns
+        self.per_query_latency_ns = programming.per_query_latency_ns
+        # Setup cost and allocation are *this session's* share: on a
+        # shared machine the deltas scope reports to the tenant's banks;
+        # on a private machine they equal the machine totals.
+        self.setup_energy_pj = machine.energy.write - write_before
+        self.rows_written = machine.rows_written - rows_before
+        counts = self._alloc_counts()
+        self.banks_used = counts[0] - counts_before[0]
+        self.mats_used = counts[1] - counts_before[1]
+        self.arrays_used = counts[2] - counts_before[2]
+        self.subarrays_used = counts[3] - counts_before[3]
+        #: First machine array belonging to this session (scopes the
+        #: standby duty to the tenant's own occupancy).
+        self.array_base = counts_before[2]
+        machine.reset_query_state()
+
+    def _walk(self, counts_before) -> Programming:
+        """The setup walk: interpret the module once on the machine."""
         func = self.module.lookup_symbol(self.func_name)
         if func is None:
             raise SessionError(f"no function named {self.func_name!r}")
@@ -329,68 +411,62 @@ class QuerySession(ExecutionBackend):
             np.zeros(arg.type.shape, dtype=np.float64)
             for arg in args[:n_inputs]
         ]
-        machine = self.machine
-        write_before = machine.energy.write
-        rows_before = machine.rows_written
-        counts_before = (
-            machine.banks_used,
-            machine.mats_used,
-            machine.arrays_used,
-            machine.subarrays_used,
-        )
         interpreter = Interpreter(
-            self.module, machine, subarray_base=self.subarray_base
+            self.module, self.machine, subarray_base=self.subarray_base
         )
         _outputs, report = interpreter.run_function(
             self.func_name, dummies + self.parameters
         )
-        self.setup_latency_ns = report.setup_latency_ns
-        # Setup cost and allocation are *this session's* share: on a
-        # shared machine the deltas scope reports to the tenant's banks;
-        # on a private machine they equal the machine totals.
-        self.setup_energy_pj = machine.energy.write - write_before
-        self.rows_written = machine.rows_written - rows_before
-        self.banks_used = machine.banks_used - counts_before[0]
-        self.mats_used = machine.mats_used - counts_before[1]
-        self.arrays_used = machine.arrays_used - counts_before[2]
-        self.subarrays_used = machine.subarrays_used - counts_before[3]
-        #: First machine array belonging to this session (scopes the
-        #: standby duty to the tenant's own occupancy).
-        self.array_base = counts_before[2]
-        self.per_query_latency_ns = report.per_query_latency_ns
-        self.machine.reset_query_state()
+        calls = []
+        for method, *call_args in interpreter.programming:
+            level = _CALL_LEVEL.get(method)
+            if level is not None:
+                call_args[0] -= counts_before[level]
+            calls.append((method, *call_args))
+        return Programming(
+            tuple(calls), report.setup_latency_ns,
+            report.per_query_latency_ns,
+        )
+
+    def _replica(self, noise_seed) -> "QuerySession":
+        """A session on a fresh private machine, programmed by replaying
+        this session's recorded walk: the compiled store, before any
+        mutation."""
+        replica = QuerySession.__new__(QuerySession)
+        replica._bind(
+            self.module, self.spec, self.tech, self.parameters,
+            self.program, self.func_name, self.noise_sigma, noise_seed,
+            None, self.fused,
+        )
+        replica._program_machine(self._programming)
+        replica._init_mutable_store(self.compact_threshold)
+        return replica
 
     def clone(self, noise_seed=None) -> "QuerySession":
         """An independent replica of this session: same compiled module,
         fresh machine.
 
         Reuses every compiled artifact (lowered module, partition plan,
-        query program, stored parameters) — nothing is re-traced or
-        re-lowered — and only re-runs the setup walk to allocate and
-        program a new machine, which a hardware replica genuinely needs.
-        Device noise on the clone decorrelates from the parent by
-        default (a fresh child of the parent's seed sequence); pass
-        ``noise_seed`` for an explicit stream.  A mutated store is
-        replayed onto the clone (incremental writes over the freshly
-        programmed base), so the clone answers queries identically.
+        query program, stored parameters) and does not walk the module:
+        the fresh machine is programmed by replaying this session's
+        recorded setup walk, the same allocations and tile writes in the
+        same order, so the replica's machine and setup report are
+        bitwise those of a walk — the sim clock still charges the
+        programming a hardware replica genuinely needs.  A mutated store
+        is then replayed onto the clone (incremental writes over the
+        programmed base), and the clone traces its own fused plan before
+        it returns, so its first batch serves at once.  Device noise on
+        the clone decorrelates from the parent by default (a fresh child
+        of the parent's seed sequence); pass ``noise_seed`` for an
+        explicit stream.
         """
-        session = QuerySession(
-            self.module,
-            self.spec,
-            self.tech,
-            self.parameters,
-            self.program,
-            func_name=self.func_name,
-            noise_sigma=self.noise_sigma,
-            noise_seed=(
-                self._noise_seq.spawn(1)[0] if noise_seed is None
-                else noise_seed
-            ),
-            compact_threshold=self.compact_threshold,
-            fused=self.fused,
+        session = self._replica(
+            self._noise_seq.spawn(1)[0] if noise_seed is None
+            else noise_seed
         )
         if self.mutations or self.compactions:
             session.restore(self.store_state())
+        session._ready_plan()
         return session
 
     def reset(self) -> None:
@@ -535,12 +611,7 @@ class QuerySession(ExecutionBackend):
                 f"bank(s) but the machine is capped at {spec.banks} "
                 f"({machine.banks_used} in use)"
             )
-        counts_before = (
-            machine.banks_used,
-            machine.mats_used,
-            machine.arrays_used,
-            machine.subarrays_used,
-        )
+        counts_before = self._alloc_counts()
         per_array = spec.subarrays_per_array
         per_mat = spec.subarrays_per_mat
         per_bank = spec.subarrays_per_bank
@@ -802,23 +873,9 @@ class QuerySession(ExecutionBackend):
                 f"query width {queries.shape[1]} does not match the "
                 f"kernel's feature dimension {plan.features}"
             )
-        if self.fused and self.noise_sigma == 0.0:
-            # Fused fast path: trace once, refresh the touched slots
-            # after mutations, execute flat.  Noise keeps the unfused
-            # walk (draws are per-machine-call); a store the tracer
-            # cannot validate falls back to it (False) until the next
-            # mutation.
-            fused_plan = self._fused_plan
-            if fused_plan and self._plan_stale:
-                if not fused_plan.refresh(self, self._touched_slots):
-                    fused_plan = False
-            elif fused_plan is None or self._plan_stale:
-                fused_plan = build_fused_plan(self) or False
-            self._fused_plan = fused_plan
-            self._plan_stale = False
-            self._touched_slots.clear()
-            if fused_plan:
-                return self._run_batch_fused(fused_plan, queries)
+        fused_plan = self._ready_plan()
+        if fused_plan:
+            return self._run_batch_fused(fused_plan, queries)
         n_queries = queries.shape[0]
         if self.noise_sigma > 0.0:
             machine.reseed_noise(self._noise_seq.spawn(1)[0])
@@ -927,6 +984,28 @@ class QuerySession(ExecutionBackend):
         self.last_report = self._report(before, n_queries)
         self.batches_run += 1
         return [values.astype(np.float32), indices.astype(np.int64)]
+
+    def _ready_plan(self):
+        """The fused plan the next batch runs on, or a false value when
+        it takes the unfused walk.
+
+        Fused fast path: trace once, refresh the touched slots after
+        mutations, execute flat.  Noise keeps the unfused walk (draws
+        are per-machine-call); a store the tracer cannot validate falls
+        back to it (False) until the next mutation.
+        """
+        if not self.fused or self.noise_sigma != 0.0:
+            return None
+        fused_plan = self._fused_plan
+        if fused_plan and self._plan_stale:
+            if not fused_plan.refresh(self, self._touched_slots):
+                fused_plan = False
+        elif fused_plan is None or self._plan_stale:
+            fused_plan = build_fused_plan(self) or False
+        self._fused_plan = fused_plan
+        self._plan_stale = False
+        self._touched_slots.clear()
+        return fused_plan
 
     def _run_batch_fused(self, fused_plan, queries) -> List[np.ndarray]:
         """Answer one batch through the traced :class:`FusedPlan`.

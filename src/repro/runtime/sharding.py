@@ -314,19 +314,10 @@ class ShardedSession(ExecutionBackend, MachineGroupView):
     ):
         if not shard_set.shards:
             raise SessionError("a sharded session needs at least one shard")
-        self.shard_set = shard_set
-        self.spec = spec
-        self.tech = tech
-        self.func_name = func_name
-        self.fused = bool(fused)
-        self.noise_sigma = float(noise_sigma)
-        self._noise_seq = (
-            noise_seed
-            if isinstance(noise_seed, np.random.SeedSequence)
-            else np.random.SeedSequence(noise_seed)
+        children = self._bind(
+            shard_set, spec, tech, func_name, noise_sigma, noise_seed, fused
         )
-        children = self._noise_seq.spawn(len(shard_set.shards))
-        self.sessions = [
+        self._adopt([
             QuerySession(
                 shard.module,
                 spec,
@@ -339,7 +330,32 @@ class ShardedSession(ExecutionBackend, MachineGroupView):
                 fused=fused,
             )
             for shard, child in zip(shard_set.shards, children)
-        ]
+        ])
+
+    def _bind(
+        self, shard_set, spec, tech, func_name, noise_sigma, noise_seed,
+        fused,
+    ) -> list:
+        """Set the shard set and configuration; returns one noise seed
+        per shard session."""
+        self.shard_set = shard_set
+        self.spec = spec
+        self.tech = tech
+        self.func_name = func_name
+        self.fused = bool(fused)
+        self.noise_sigma = float(noise_sigma)
+        self._noise_seq = (
+            noise_seed
+            if isinstance(noise_seed, np.random.SeedSequence)
+            else np.random.SeedSequence(noise_seed)
+        )
+        return self._noise_seq.spawn(len(shard_set.shards))
+
+    def _adopt(self, sessions: List[QuerySession]) -> None:
+        """Take the programmed per-shard sessions, with the compiled
+        store's id directory."""
+        shard_set = self.shard_set
+        self.sessions = sessions
         self.k = shard_set.k
         # Post-legalisation sort direction — identical across shards by
         # construction (same spec, same pipeline).
@@ -418,28 +434,39 @@ class ShardedSession(ExecutionBackend, MachineGroupView):
         """An independent replica of the whole shard group.
 
         Reuses the compiled :class:`ShardSet` (per-shard modules, plans
-        and programs) untouched — no recompilation — and programs one
-        fresh machine per shard, exactly what a second hardware copy of
-        the deployment costs.  A mutated store is replayed onto the
-        fresh machines via :meth:`restore`, so the clone serves the
-        *live* store, not the compile-time snapshot.  Noise decorrelates
-        from the parent unless an explicit ``noise_seed`` is given.
+        and programs) untouched — no recompilation — and walks no
+        module: each shard's fresh machine is programmed by replaying
+        the recorded setup walk of this group's session for that shard
+        (shards split off at runtime included), which charges exactly
+        what a second hardware copy of the deployment costs.  A mutated
+        store is then replayed onto the fresh machines via
+        :meth:`restore`, so the clone serves the *live* store, not the
+        compile-time snapshot, and every shard traces its fused plan
+        before the clone returns.  Noise decorrelates from the parent
+        unless an explicit ``noise_seed`` is given.
         """
-        session = ShardedSession(
+        session = ShardedSession.__new__(ShardedSession)
+        children = session._bind(
             self.shard_set,
             self.spec,
             self.tech,
-            func_name=self.func_name,
-            noise_sigma=self.noise_sigma,
-            noise_seed=(
+            self.func_name,
+            self.noise_sigma,
+            (
                 self._noise_seq.spawn(1)[0] if noise_seed is None
                 else noise_seed
             ),
-            fused=self.fused,
+            self.fused,
         )
+        session._adopt([
+            source._replica(child)
+            for source, child in zip(self.sessions, children)
+        ])
         if self.mutations or self.compactions:
             session._seed_gids(self._initial_gids)
             session.restore(self.store_state())
+        for shard in session.sessions:
+            shard._ready_plan()
         return session
 
     def reset(self) -> None:

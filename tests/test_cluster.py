@@ -10,6 +10,7 @@ autoscaling and epoch-aware accounting
 refactor put under every execution mode.
 """
 
+import threading
 import time
 from concurrent.futures import CancelledError
 from dataclasses import replace
@@ -422,6 +423,56 @@ class TestAutoscaler:
         np.testing.assert_array_equal(values, expected[0])
         np.testing.assert_array_equal(indices, expected[1])
         cluster.shutdown()
+
+    def test_scaled_lane_adopts_mutation_landing_mid_clone(
+            self, dot_kernel, stores, rng):
+        """A mutation racing a scale-up reaches the scaled lane.  The
+        clone copies the primary's store under the primary lane's lock,
+        so a mutation cannot land halfway through it, and the new lane
+        adopts the tenant's latest store when it attaches, so one that
+        returned between the clone and the attach is not lost."""
+        spec = replace(dse_spec(16), banks=2)
+        cluster = Cluster(spec, autoscale_max_lanes=2)
+        cloned, release = threading.Event(), threading.Event()
+        try:
+            cluster.admit(
+                compile_dot(dot_kernel, stores[0], spec=spec), tenant_id="t"
+            )
+            primary = cluster._tenants["t"].lanes[0].backend
+            clone = primary.clone
+
+            def paused_clone(*args, **kwargs):
+                replica = clone(*args, **kwargs)
+                cloned.set()
+                release.wait(timeout=30)
+                return replica
+
+            primary.clone = paused_clone
+            scaler = threading.Thread(target=cluster._scale_up, args=("t",))
+            scaler.start()
+            assert cloned.wait(timeout=30)
+            rows = rng.choice([-1.0, 1.0], (2, 64)).astype(np.float32)
+            inserter = threading.Thread(
+                target=cluster.insert, args=(rows, "t")
+            )
+            inserter.start()
+            # Without the primary lane's lock the insert returns here,
+            # before the paused clone does.
+            inserter.join(timeout=0.5)
+            release.set()
+            scaler.join(timeout=30)
+            inserter.join(timeout=30)
+            assert not scaler.is_alive() and not inserter.is_alive()
+            lanes = [lane.backend for lane in cluster._tenants["t"].lanes]
+            assert [lane.pattern_count for lane in lanes] == [10, 10]
+            queries = rng.choice([-1.0, 1.0], (4, 64)).astype(np.float32)
+            want = lanes[0].run_batch(queries)
+            got = lanes[1].run_batch(queries)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        finally:
+            release.set()
+            cluster.shutdown()
 
     def test_admit_with_initial_lanes(self, dot_kernel, stores):
         spec = replace(dse_spec(16), banks=2)

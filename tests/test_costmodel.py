@@ -12,11 +12,16 @@ hints validate, and a traffic trace unrolls into a deterministic
 arrival timeline.
 """
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.arch import paper_spec
 from repro.compiler import C4CAMCompiler
 from repro.frontend import placeholder
@@ -328,3 +333,49 @@ class TestScoring:
         model = _hot_cold_model()
         text = model.score_groups([["hot1", "cold1"]]).describe()
         assert "hot1" in text
+
+
+#: Prints one digest of ``response_ns`` and ``score_groups`` outputs,
+#: bit for bit (``float.hex``), over random 8-tenant two-machine fleets.
+_COST_DIGEST = """
+import hashlib
+import numpy as np
+from repro.runtime.costmodel import PlacementCost, TenantProfile, TrafficHint
+
+rng = np.random.default_rng(5)
+digest = hashlib.sha256()
+tids = [f"tenant{i}" for i in range(8)]
+for _fleet in range(100):
+    model = PlacementCost(
+        [TenantProfile(tid, float(rng.uniform(1.0, 500.0))) for tid in tids],
+        hints=[TrafficHint(tid, rate_qps=float(rng.uniform(1.0, 5e4)),
+                           batch_rows=int(rng.integers(1, 9)))
+               for tid in tids],
+    )
+    groups = [list(g) for g in np.split(rng.permutation(tids), 2)]
+    for group in groups:
+        for tid in group:
+            digest.update(model.response_ns(tid, group).hex().encode())
+    score = model.score_groups(groups)
+    for value in (score.total, *score.machine_load_ns,
+                  *score.latency_ns.values()):
+        digest.update(value.hex().encode())
+print(digest.hexdigest())
+"""
+
+
+def test_costs_do_not_depend_on_the_hash_seed():
+    """Predicted costs are bitwise the same in every process: Python
+    seeds string hashing per process, so a sum over a set of tenant ids
+    must not follow the set's iteration order."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-c", _COST_DIGEST], env=env,
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        digests.add(out.stdout)
+    assert len(digests) == 1, digests

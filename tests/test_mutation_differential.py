@@ -25,6 +25,7 @@ row deleted -> empty results, then refilled), and mutate-during-serve
 schedules where mutations interleave with in-flight micro-batches.
 """
 
+import zlib
 from dataclasses import replace
 
 import numpy as np
@@ -36,7 +37,9 @@ from repro.compiler import C4CAMCompiler
 from repro.frontend import placeholder
 from repro.runtime.cluster import Cluster
 from repro.runtime.fused import build_fused_plan
+from repro.runtime.session import QuerySession
 from repro.runtime.sharding import ShardedSession, build_shard_set
+from repro.simulator.machine import CamMachine
 
 FEATURES = 8
 BATCH = 3
@@ -783,3 +786,252 @@ def test_refreshed_plan_equals_fresh_trace(seed, kind):
     _assert_bitwise(_serve(leaves[0], queries), _serve(leaves[1], queries))
     assert leaves[0]._fused_plan is False
     assert build_fused_plan(leaves[0]) is None
+
+
+# --------------------------------------------------------------------------
+# Replicas: a replayed clone against a walked clone
+# --------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def traced_machines(monkeypatch):
+    """Turn on every new machine's event trace, so that the order and
+    setup-clock stamps of the programming writes can be compared."""
+    init = CamMachine.__init__
+
+    def traced(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.trace.enabled = True
+
+    monkeypatch.setattr(CamMachine, "__init__", traced)
+
+
+def _walked_clone(source, noise_seed):
+    """The reference replica: a session built, and so walked, from
+    ``source``'s compiled artifacts on a fresh machine, then restored to
+    ``source``'s live store."""
+    mutated = source.mutations or source.compactions
+    if isinstance(source, ShardedSession):
+        walked = ShardedSession(
+            source.shard_set, source.spec, source.tech,
+            func_name=source.func_name, noise_sigma=source.noise_sigma,
+            noise_seed=noise_seed, fused=source.fused,
+        )
+        if mutated:
+            walked._seed_gids(source._initial_gids)
+            walked.restore(source.store_state())
+        return walked
+    walked = QuerySession(
+        source.module, source.spec, source.tech, source.parameters,
+        source.program, func_name=source.func_name,
+        noise_sigma=source.noise_sigma, noise_seed=noise_seed,
+        compact_threshold=source.compact_threshold, fused=source.fused,
+    )
+    if mutated:
+        walked.restore(source.store_state())
+    return walked
+
+
+def _assert_same_machine(got, want):
+    """Hierarchy, counters, the order and stamps of every write and
+    erase, and each subarray's cells, valid bits, writes and latches."""
+    assert (got._banks, got._mats, got._arrays, got._sub_parent) == (
+        want._banks, want._mats, want._arrays, want._sub_parent)
+    assert got.energy.as_dict() == want.energy.as_dict()
+    assert (got.total_searches, got.rows_written) == (
+        want.total_searches, want.rows_written)
+    for op in ("write", "erase"):
+        assert got.trace.by_op(op) == want.trace.by_op(op), op
+    for sub_id in range(want.subarrays_used):
+        g, w = got.subarray(sub_id), want.subarray(sub_id)
+        for name in ("_data", "_valid", "_scores"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert (g.writes, g.searches, g._scored_rows) == (
+            w.writes, w.searches, w._scored_rows)
+
+
+#: A session's programming figures, slot directory and counters.
+_SESSION_STATE = (
+    "setup_latency_ns", "per_query_latency_ns", "setup_energy_pj",
+    "rows_written", "banks_used", "mats_used", "arrays_used",
+    "subarrays_used", "array_base", "subarray_base", "_capacity",
+    "_next_slot", "_next_id", "_dead", "_growth_groups", "_slot_ids",
+    "_id_to_slot", "_sub_ids", "_row_groups", "mutations", "compactions",
+    "serve_k", "batches_run", "fused_runs", "_time",
+)
+
+
+def _assert_same_replica(got, want):
+    """``got`` and ``want`` hold bitwise the same machines and stores."""
+    assert got.setup_report() == want.setup_report()
+    if isinstance(want, ShardedSession):
+        assert [(s.row_offset, s.stored.tobytes())
+                for s in got.shard_set.shards] == [
+            (s.row_offset, s.stored.tobytes())
+            for s in want.shard_set.shards]
+        assert (got._gid_map, got._initial_gids, got._next_gid) == (
+            want._gid_map, want._initial_gids, want._next_gid)
+        assert (got.mutations, got.compactions) == (
+            want.mutations, want.compactions)
+        assert len(got.sessions) == len(want.sessions)
+        for g, w in zip(got.sessions, want.sessions):
+            _assert_same_replica(g, w)
+        return
+    for name in _SESSION_STATE:
+        assert getattr(got, name) == getattr(want, name), name
+    assert got._alive.tobytes() == want._alive.tobytes()
+    assert got._rows.keys() == want._rows.keys()
+    for i, row in want._rows.items():
+        assert got._rows[i].tobytes() == row.tobytes()
+    _assert_same_machine(got.machine, want.machine)
+
+
+def _assert_nothing_shared(replica, source):
+    """No array of the replica's machines is one of the source's, or a
+    tile of the recorded programming they share."""
+    theirs = []
+    for session in _query_sessions(source):
+        machine = session.machine
+        for sub_id in range(machine.subarrays_used):
+            sub = machine.subarray(sub_id)
+            theirs += [sub._data, sub._valid, sub._scores]
+        theirs += [args[2] for args in session._programming.calls
+                   if args[0] == "write_value"]
+    for session in _query_sessions(replica):
+        machine = session.machine
+        for sub_id in range(machine.subarrays_used):
+            sub = machine.subarray(sub_id)
+            for mine in (sub._data, sub._valid, sub._scores):
+                assert not any(np.shares_memory(mine, t) for t in theirs)
+
+
+class _Both:
+    """Applies each mutation to two stores, requiring equal returns."""
+
+    def __init__(self, got, want):
+        self.got, self.want = got, want
+
+    def __getattr__(self, name):
+        def both(*args):
+            result = getattr(self.got, name)(*args)
+            assert getattr(self.want, name)(*args) == result
+            return result
+        return both
+
+    @property
+    def pattern_count(self):
+        assert self.got.pattern_count == self.want.pattern_count
+        return self.got.pattern_count
+
+
+def _replica_source(kind, stacked, noise, fused, rng):
+    """``(source, k, room)``: a session of ``kind`` to clone, its top-k
+    and the most live rows its mutations may reach.
+
+    ``colocated`` programs the source after another tenant on a shared
+    machine, so its slice starts past machine id 0 at every level; the
+    density-stacked mapping cannot grow in place, so ``room`` keeps it
+    within its compiled rows (a sharded one splits instead)."""
+    k = int(rng.integers(1, 4))
+    n0 = int(rng.integers(k + 3, 12))
+    stored = _rows(rng, n0, tie_heavy=stacked)
+    options = dict(noise_sigma=0.05 if noise else 0.0, noise_seed=7,
+                   fused=fused)
+    # Four-column subarrays: every row spans two tiles, so the walk
+    # writes several tiles whose order the replay must keep.
+    if stacked:
+        spec = paper_spec(rows=32, cols=4, optimization_target="density")
+    else:
+        spec = replace(_spec(), cols=4)
+    if kind == "sharded":
+        # Two subarrays per machine, so a few inserts split a shard.
+        spec = replace(spec, banks=1, mats_per_bank=1, arrays_per_mat=1,
+                       subarrays_per_array=2)
+        shard_set = build_shard_set(
+            stored, 1, "dot", k, True, spec, num_shards=2,
+        )
+        source = ShardedSession(shard_set, spec, FEFET_45NM, **options)
+        return source, k, n0 + 6 if stacked else 40
+    kernel = _compile(stored, k, spec)
+    machine = None
+    if kind == "colocated":
+        machine = CamMachine(spec, FEFET_45NM)
+        neighbour = _compile(_rows(rng, 5, tie_heavy=stacked), 2, spec)
+        QuerySession(neighbour.module, spec, FEFET_45NM,
+                     neighbour.parameters, neighbour.query_programs[0],
+                     machine=machine)
+    source = QuerySession(
+        kernel.module, spec, FEFET_45NM, kernel.parameters,
+        kernel.query_programs[0], machine=machine, **options,
+    )
+    if kind == "colocated":
+        assert source.subarray_base > 0 and source.array_base > 0
+    return source, k, n0 - 1 if stacked else 28
+
+
+@pytest.mark.usefixtures("traced_machines")
+@pytest.mark.parametrize("noise", [False, True], ids=["quiet", "noisy"])
+@pytest.mark.parametrize("fused", [True, False], ids=["fused", "unfused"])
+@pytest.mark.parametrize("mutated", [False, True],
+                         ids=["compiled", "mutated"])
+@pytest.mark.parametrize("stacked", [False, True], ids=["tiled", "stacked"])
+@pytest.mark.parametrize("kind", ["private", "colocated", "sharded"])
+def test_replayed_clone_equals_walked_clone(kind, stacked, mutated, fused,
+                                            noise, request):
+    """``clone()`` replays the source's recorded programming instead of
+    walking the module.  The replica must equal a walked clone bitwise:
+    machine hierarchy, every subarray's cells, valid bits, writes and
+    latches, the order and stamps of every write, ``setup_report()``,
+    ``per_query_latency_ns``, the slot directory and the fused plan it
+    traced before returning (against a fresh trace).  It shares no array
+    with its source, so mutating the source afterwards changes nothing.
+    Then the same random batches and mutations give bitwise-equal
+    results, ``last_values`` and reports on both."""
+    rng = np.random.default_rng(
+        [71_000, zlib.crc32(request.node.callspec.id.encode())]
+    )
+    source, k, room = _replica_source(kind, stacked, noise, fused, rng)
+    live = {int(i): row for i, row in source.store_state().rows}
+
+    def source_batch():
+        source.run_batch(_queries(rng, tie_heavy=stacked))
+
+    if mutated:
+        _mutate_randomly(rng, source, live, n_ops=10, k=k,
+                         check=source_batch, max_live=room)
+        # Grow past the compiled footprint (split a shard off, when
+        # sharded) — the replica replays the compiled programming only.
+        width = lambda: (source.num_shards if kind == "sharded"
+                         else source.growth_groups)
+        before = width()
+        while width() == before and len(live) < room:
+            row = _rows(rng, 1, tie_heavy=stacked)
+            live[source.insert(row)[0]] = row[0]
+        if not stacked or kind == "sharded":
+            assert width() > before
+    replica = source.clone(noise_seed=11)
+    walked = _walked_clone(source, noise_seed=11)
+    for session in _query_sessions(replica):
+        if fused and not noise:
+            assert session._fused_plan is not None, "plan not traced"
+            _assert_same_plan(session._fused_plan, build_fused_plan(session))
+        else:
+            assert session._fused_plan is None
+    for got, origin in zip(_query_sessions(replica),
+                           _query_sessions(source)):
+        assert got._programming is origin._programming
+    _assert_same_replica(replica, walked)
+    _assert_nothing_shared(replica, source)
+
+    source_live = dict(live)
+    _mutate_randomly(rng, source, source_live, n_ops=4, k=k,
+                     check=source_batch, max_live=room)
+
+    def check():
+        queries = _queries(rng, tie_heavy=stacked)
+        _assert_bitwise(_serve(replica, queries), _serve(walked, queries))
+
+    _mutate_randomly(rng, _Both(replica, walked), live, n_ops=10, k=k,
+                     check=check, max_live=room)
+    _assert_same_replica(replica, walked)

@@ -12,6 +12,7 @@ import sys
 import threading
 import time
 from concurrent.futures import CancelledError
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +20,9 @@ import pytest
 from repro.arch import dse_spec, paper_spec
 from repro.compiler import C4CAMCompiler
 from repro.frontend import placeholder
+from repro.runtime import Cluster
 from repro.runtime.backend import ClusterShutdown
+from repro.runtime.executor import Interpreter
 from repro.runtime.serving import ReplicatedSession, ServingEngine
 from repro.runtime.session import SessionError
 from repro.runtime.sharding import ShardedSession
@@ -162,6 +165,66 @@ class TestReplicatedSession:
             compile_dot(dot_kernel, bipolar_store, (1, 64),
                         spec=dse_spec(16), num_replicas=2,
                         lower_to_cam=False)
+
+    def test_no_clone_path_walks_the_module(self, dot_kernel, bipolar_store,
+                                            rng, monkeypatch):
+        """A replica replays its source's recorded programming: the
+        interpreter walks a module once, for the session first
+        programmed from it, and never inside a clone."""
+        walks = []
+        run_function = Interpreter.run_function
+
+        def counted(interpreter, *args, **kwargs):
+            walks.append(interpreter.module)
+            return run_function(interpreter, *args, **kwargs)
+
+        monkeypatch.setattr(Interpreter, "run_function", counted)
+
+        def rows(n):
+            return rng.choice([-1.0, 1.0], (n, 64)).astype(np.float32)
+
+        def clone_walks(source):
+            walks.clear()
+            replica = source.clone()
+            assert replica.pattern_count == source.pattern_count
+            return len(walks)
+
+        spec = dse_spec(16)
+        private = compile_dot(dot_kernel, bipolar_store, (1, 64),
+                              spec=spec).session()
+        assert clone_walks(private) == 0
+
+        cluster = Cluster(spec)
+        try:
+            for tid, n in (("a", 8), ("b", 12)):
+                cluster.admit(compile_dot(dot_kernel, rows(n), (1, 64),
+                                          spec=spec), tenant_id=tid)
+            colocated = cluster._tenants["b"].lanes[0].backend
+            assert colocated.subarray_base > 0
+            assert clone_walks(colocated) == 0
+            walks.clear()
+            cluster._scale_up("b")
+            assert not walks and cluster.tenant_lanes("b") == 2
+        finally:
+            cluster.shutdown()
+
+        while private.growth_groups == 0:
+            private.insert(rows(4))
+        private.delete(private.row_ids()[:5])
+        assert clone_walks(private) == 0
+
+        sharded = compile_dot(
+            dot_kernel, bipolar_store, (1, 64),
+            spec=replace(spec, banks=1), num_shards=2,
+        ).session()
+        while sharded.num_shards == 2:
+            sharded.insert(rows(1))
+        assert clone_walks(sharded) == 0
+
+        walks.clear()
+        compile_dot(dot_kernel, bipolar_store, (1, 64), spec=spec,
+                    num_replicas=3).session()
+        assert len(walks) == 1
 
 
 # --------------------------------------------------------------------------

@@ -351,8 +351,10 @@ class _MatcherReplica:
     def __init__(self, matcher, threshold: float):
         self.matcher = matcher
         self.threshold = threshold
-        #: Query width, so the engine can reject misfits at submit().
-        self.features = matcher.patterns.shape[1]
+
+    def query_width(self) -> int:
+        """The rule width, so the engine rejects misfits at submit()."""
+        return self.matcher.patterns.shape[1]
 
     def run_batch(self, queries: np.ndarray) -> List[MatchResult]:
         return self.matcher.lookup_batch(queries, self.threshold)

@@ -1,12 +1,23 @@
 """Runtime: the IR interpreter, batched query sessions, sharded
 multi-machine sessions, the replicated async serving layer, multi-tenant
-bank placement and host reference semantics."""
+bank placement and host reference semantics.
+
+Every execution path keeps one contract, **bitwise identity**: with
+noise disabled, a batch returns the same bits for the same queries no
+matter which path serves it — batched vs. sequential, sharded vs. one
+oversized machine, replicated vs. direct, served through the engine vs.
+``run_batch``, colocated vs. private, before vs. after a cluster
+re-placement, and fused vs. the per-stage session walk.  Every session
+serves through a traced :class:`~repro.runtime.fused.FusedPlan` by
+default (``fused=True``), and the identity extends to accounting: a
+fused batch charges the identical energy/latency the unfused walk would.
+The differential suites under ``tests/`` assert all of it.
+"""
 
 from . import values
-from .backend import ClusterShutdown, ExecutionBackend, LaneStats
+from .backend import ClusterShutdown
 from .cluster import Cluster
 from .costmodel import (
-    CostBreakdown,
     PlacementCost,
     TenantProfile,
     TrafficHint,
@@ -15,8 +26,6 @@ from .costmodel import (
 from .executor import ExecutionError, Interpreter
 from .placement import (
     PlacementError,
-    PlacementPlan,
-    TenantAssignment,
     TenantDemand,
     TenantProgram,
     plan_placement,
@@ -37,14 +46,10 @@ from .sharding import (
 __all__ = [
     "Cluster",
     "ClusterShutdown",
-    "CostBreakdown",
-    "ExecutionBackend",
     "ExecutionError",
     "Interpreter",
-    "LaneStats",
     "PlacementCost",
     "PlacementError",
-    "PlacementPlan",
     "QueryProgram",
     "QuerySession",
     "ReplicatedSession",
@@ -53,7 +58,6 @@ __all__ = [
     "Shard",
     "ShardedSession",
     "ShardSet",
-    "TenantAssignment",
     "TenantDemand",
     "TenantProfile",
     "TenantProgram",

@@ -7,9 +7,11 @@ in the plan's programming order, so first fit reproduces the planned
 bank spans.  But serving fleets are not static: kernels arrive, depart,
 burst and starve, and sharded tenants, priority/deadline dispatch,
 defragmenting re-placement and queue-depth autoscaling all need one
-place to land.  This module is that place, composing the pieces the
-previous PRs built behind the
-:class:`~repro.runtime.backend.ExecutionBackend` protocol:
+place to land.  This module is that place, and the one owner of
+tenancy in the runtime: it places single-tenant sessions on shared
+machines and serves each of a tenant's lanes through the
+:class:`~repro.runtime.serving.ServingEngine`, which keeps only the
+tenant affinity and tenant-pure batches those lanes need:
 
 * **dynamic lifecycle** — :meth:`Cluster.admit` programs a compiled
   kernel onto the shared fleet at runtime (first-fit into free banks,
@@ -46,6 +48,9 @@ re-charging their programming cost, and :meth:`Cluster.report` sums the
 epochs (:func:`~repro.simulator.metrics.combine_epoch_reports`) — so
 writes are charged exactly once per actual programming pass, and a
 tenant admitted then evicted still shows up in the lifetime energy.
+A lane charges each batch while it still holds the machine lock, and
+eviction retires the lane under that lock, so every batch an evicted
+tenant's future received is in the lifetime report.
 
 Tenant sessions are **fused** by default (``fused=True`` on the
 cluster, threaded into every placed, sharded and autoscaled lane):
@@ -76,7 +81,7 @@ from repro.simulator.metrics import (
     merge_concurrent_reports,
 )
 
-from .backend import ClusterShutdown, ExecutionBackend, LaneStats, SessionError
+from .backend import ClusterShutdown, LaneStats, SessionError
 from .costmodel import PlacementCost, TenantProfile, TrafficHint
 from .machineview import MachineGroupView
 from .placement import (
@@ -86,7 +91,7 @@ from .placement import (
     plan_placement,
     tenant_demand,
 )
-from .serving import ServingEngine
+from .serving import ServingEngine, _Lane
 from .session import QuerySession, StoreOverflow
 from .sharding import ShardedSession, ShardSet
 
@@ -115,8 +120,9 @@ def _normalize_hints(hints) -> Dict[str, "TrafficHint"]:
     return out
 
 
-class _LaneRecord:
-    """One of a tenant's serving lanes, as the control plane sees it.
+class _LaneRecord(_Lane):
+    """One of a tenant's serving lanes: the engine's lane and the
+    control plane's record of it, one object.
 
     ``backend`` is the live session (a colocated
     :class:`~repro.runtime.session.QuerySession` for a placed tenant,
@@ -126,33 +132,49 @@ class _LaneRecord:
     machine, ``stats`` the current epoch's traffic.  ``generation``
     bumps whenever a defragmentation swaps the backend, so an in-flight
     serve that raced the swap retries against the fresh session.
+    ``retired`` is set under the lane's lock when its tenant is evicted.
     """
 
     __slots__ = (
-        "backend", "lock", "stats", "serve", "engine_lane", "scaled",
-        "machine_index", "bank_offset", "banks", "generation",
+        "cluster", "stats", "scaled", "machine_index", "bank_offset",
+        "banks", "generation", "retired",
     )
 
-    def __init__(self, backend, lock, stats, scaled=False,
+    def __init__(self, cluster, tenant, backend, lock, scaled=False,
                  machine_index=None, bank_offset=0, banks=0):
-        self.backend = backend
-        self.lock = lock
-        self.stats = stats
-        self.serve = None
-        self.engine_lane = None
+        super().__init__(backend, tenant=tenant, lock=lock)
+        self.cluster = cluster
+        self.stats = LaneStats(backend)
         self.scaled = scaled
         #: Shared-fleet machine index for a placed lane; None = private.
         self.machine_index = machine_index
         self.bank_offset = bank_offset
         self.banks = banks
         self.generation = 0
+        self.retired = False
 
-    @property
-    def last_report(self):
-        """The *current* backend's last batch report — the record is
-        what the engine lane holds, so pacing keeps following the live
-        session across defragmentation swaps."""
-        return self.backend.last_report
+    def serve(self, queries: np.ndarray):
+        """Serve one batch under the machine lock, on the session the
+        lane holds when it gets the lock (a re-placement may swap it
+        while the lane waits), and charge it to the current epoch
+        before the lock is released — so an eviction, which retires
+        the lane under the same lock, either counts the batch in the
+        tenant's final report or fails it with
+        :class:`~repro.runtime.backend.ClusterShutdown` unserved."""
+        while True:
+            generation = self.generation
+            backend, lock = self.backend, self.lock
+            with lock:
+                if self.generation != generation:
+                    continue  # defragged while waiting: rebind
+                if self.retired:
+                    raise ClusterShutdown(
+                        f"tenant {self.tenant!r} was evicted before this "
+                        "request ran"
+                    )
+                outputs = backend.run_batch(queries)
+                self.cluster._charge(self, backend.last_report)
+                return outputs
 
 
 class _Tenant:
@@ -161,7 +183,7 @@ class _Tenant:
     __slots__ = (
         "tenant_id", "kind", "program", "shard_set", "func_name", "width",
         "lanes", "retired_lanes", "epoch_reports", "scaling",
-        "store_state", "extra_groups", "initial_gids",
+        "store_state", "extra_groups",
     )
 
     def __init__(self, tenant_id, kind, program, shard_set, func_name,
@@ -186,12 +208,9 @@ class _Tenant:
         #: its compiled footprint — inflates the placement demand so a
         #: re-pack reserves room instead of evicting.
         self.extra_groups = 0
-        #: Sharded tenants: the per-shard initial gid assignment the
-        #: replay needs to reproduce the parent's id space.
-        self.initial_gids = None
 
 
-class Cluster(ExecutionBackend, MachineGroupView):
+class Cluster(MachineGroupView):
     """A shared CAM fleet with a dynamic tenant set and one request intake.
 
     Usage::
@@ -209,10 +228,9 @@ class Cluster(ExecutionBackend, MachineGroupView):
     :meth:`~repro.compiler.C4CAMCompiler.compile` — sharded kernels
     span machines) or a prepared
     :class:`~repro.runtime.placement.TenantProgram`.  The cluster is a
-    context manager (clean exit drains, exceptional exit aborts) and
-    implements the :class:`~repro.runtime.backend.ExecutionBackend`
-    protocol, so it can itself be replicated or fronted like any other
-    backend.
+    context manager (clean exit drains, exceptional exit aborts).  It
+    owns tenancy: the sessions it places are single-tenant, and each of
+    a tenant's serving lanes is one :class:`_LaneRecord`.
     """
 
     _group_noun = "cluster"
@@ -387,16 +405,6 @@ class Cluster(ExecutionBackend, MachineGroupView):
                 )
             return "\n".join(lines)
 
-    # ------------------------------------------------------- protocol bits
-    def tenant_widths(self) -> Dict[str, int]:
-        with self._admit_lock:
-            return {
-                tid: self._tenants[tid].width for tid in self._admit_order
-            }
-
-    def query_width(self, tenant: Optional[str] = None) -> int:
-        return self._require(self._resolve_tenant(tenant)).width
-
     # ------------------------------------------------------------ admission
     def admit(self, kernel, tenant_id: Optional[str] = None,
               lanes: Optional[int] = None) -> str:
@@ -436,11 +444,7 @@ class Cluster(ExecutionBackend, MachineGroupView):
             if engine is not None:
                 engine.register_tenant(tid, tenant.width)
                 for record in tenant.lanes:
-                    # The record itself is the lane backend: it follows
-                    # the live session across defragmentation swaps.
-                    record.engine_lane = engine.add_lane(
-                        record, tenant=tid, serve=record.serve
-                    )
+                    engine.add_lane(record)
         # Extra initial lanes clone outside the control-plane lock, like
         # autoscaled ones (see _add_scaled_lane).
         for _ in range(lanes - 1):
@@ -537,12 +541,9 @@ class Cluster(ExecutionBackend, MachineGroupView):
             noise_seed=self._noise_seq.spawn(1)[0],
             fused=self.fused,
         )
-        record = _LaneRecord(
-            backend, threading.Lock(), LaneStats(backend),
-            machine_index=None,
+        tenant.lanes.append(
+            _LaneRecord(self, tenant.tenant_id, backend, threading.Lock())
         )
-        record.serve = self._make_serve(record)
-        tenant.lanes.append(record)
 
     def _tenant_demand(self, tenant: _Tenant):
         """The tenant's bank demand, inflated by its store growth so a
@@ -740,13 +741,11 @@ class Cluster(ExecutionBackend, MachineGroupView):
             session.grow()
         if tenant.store_state is not None:
             session.restore(tenant.store_state)
-        record = _LaneRecord(
-            session, self._shared_locks[index], LaneStats(session),
+        return _LaneRecord(
+            self, tenant.tenant_id, session, self._shared_locks[index],
             machine_index=index, bank_offset=offset,
             banks=machine.banks_used - offset,
         )
-        record.serve = self._make_serve(record)
-        return record
 
     # -------------------------------------------------------- defragmenting
     def _defragment(self, reason: str, plan=None,
@@ -892,7 +891,9 @@ class Cluster(ExecutionBackend, MachineGroupView):
 
         The tenant's queued requests fail with
         :class:`~repro.runtime.backend.ClusterShutdown` naming the
-        tenant; batches its lanes are already serving finish normally.
+        tenant; batches its lanes are already serving finish normally
+        and stay counted in the lifetime report.  A batch a lane took
+        but had not started serving fails the same way.
         With ``defragment=True`` (default) the surviving placed tenants
         are re-packed onto fresh machines, reclaiming the evicted banks
         — their results stay bitwise identical.  ``defragment=False``
@@ -908,15 +909,15 @@ class Cluster(ExecutionBackend, MachineGroupView):
             if engine is not None:
                 engine.drop_tenant(tenant_id)
                 for record in tenant.lanes:
-                    if record.engine_lane is not None:
-                        engine.remove_lane(record.engine_lane)
+                    engine.remove_lane(record)
                 engine.drain_tenant(tenant_id, error)
-            # Drain in-flight work on the evicted tenant's lanes (its
-            # engine lanes take no more batches), then capture its
-            # final traffic for the closing epoch.
+            # Retire each lane under its machine lock: a batch being
+            # served finishes (and is charged) first, and a batch the
+            # lane took but has not started fails unserved.  So the
+            # final traffic captured next is every batch it served.
             for record in tenant.lanes:
                 with record.lock:
-                    pass
+                    record.retired = True
             with self._stats_lock:
                 final = [
                     record.stats.report() for record in tenant.lanes
@@ -952,27 +953,12 @@ class Cluster(ExecutionBackend, MachineGroupView):
         )
 
     # ------------------------------------------------------------- serving
-    def _make_serve(self, record: _LaneRecord):
-        """The lane's ``(queries, tenant)`` callable: machine-locked,
-        defrag-safe (retries when a re-placement swapped the backend
-        mid-wait), folding stats into the current epoch."""
-        def serve(queries, _tenant):
-            while True:
-                generation = record.generation
-                backend, lock = record.backend, record.lock
-                with lock:
-                    if record.generation != generation:
-                        continue  # defragged while waiting: rebind
-                    outputs = backend.run_batch(queries)
-                    report = backend.last_report
-                break
-            with self._stats_lock:
-                record.stats.add(report)
-                self.last_report = report
-                self.batches_run += 1
-            return outputs
-
-        return serve
+    def _charge(self, record: _LaneRecord, report: ExecutionReport) -> None:
+        """Fold one served batch into the lane's current epoch."""
+        with self._stats_lock:
+            record.stats.add(report)
+            self.last_report = report
+            self.batches_run += 1
 
     def run_batch(self, queries, tenant: Optional[str] = None):
         """Serve one ``B×D`` batch synchronously on the tenant's
@@ -986,7 +972,7 @@ class Cluster(ExecutionBackend, MachineGroupView):
         tid = self._resolve_tenant(tenant)
         with self._admit_lock:
             record = self._require(tid).lanes[0]
-        return record.serve(np.asarray(queries, dtype=np.float64), tid)
+        return record.serve(np.asarray(queries, dtype=np.float64))
 
     # ------------------------------------------------------------ mutations
     def insert(self, patterns, tenant: Optional[str] = None) -> List[int]:
@@ -1056,7 +1042,6 @@ class Cluster(ExecutionBackend, MachineGroupView):
                 else:
                     state = backend.store_state()
                     groups = getattr(backend, "growth_groups", 0)
-                    initial = getattr(backend, "_initial_gids", None)
                     shard_set = getattr(backend, "shard_set", None)
                     banks = getattr(backend, "banks_used", None)
             if not grow:
@@ -1068,8 +1053,6 @@ class Cluster(ExecutionBackend, MachineGroupView):
             if tenant_rec is not None:
                 tenant_rec.store_state = state
                 tenant_rec.extra_groups = groups
-                if initial is not None:
-                    tenant_rec.initial_gids = [list(g) for g in initial]
                 if shard_set is not None and tenant_rec.kind == "sharded":
                     tenant_rec.shard_set = shard_set
                 if banks is not None and record.machine_index is not None:
@@ -1082,16 +1065,6 @@ class Cluster(ExecutionBackend, MachineGroupView):
             with rec.lock:
                 rec.backend.restore(state)
         return result
-
-    @staticmethod
-    def _replay_op(state, initial_gids) -> Callable:
-        """An op that drives a freshly admitted backend to ``state``
-        (clone/reset carry live stores across re-admission)."""
-        def op(backend):
-            if initial_gids is not None and hasattr(backend, "_seed_gids"):
-                backend._seed_gids(initial_gids)
-            backend.restore(state)
-        return op
 
     def _grow_tenant(self, tenant_id: str) -> None:
         """A placed tenant's store outgrew its machine's free banks:
@@ -1126,9 +1099,7 @@ class Cluster(ExecutionBackend, MachineGroupView):
                     tenant = self._tenants[tid]
                     engine.register_tenant(tid, tenant.width)
                     for record in tenant.lanes:
-                        record.engine_lane = engine.add_lane(
-                            record, tenant=tid, serve=record.serve
-                        )
+                        engine.add_lane(record)
                 self._engine = engine
             return self._engine
 
@@ -1260,15 +1231,11 @@ class Cluster(ExecutionBackend, MachineGroupView):
             if tenant.store_state is not None:
                 backend.restore(tenant.store_state)
             record = _LaneRecord(
-                backend, threading.Lock(), LaneStats(backend), scaled=True,
-                machine_index=None,
+                self, tenant_id, backend, threading.Lock(), scaled=True
             )
-            record.serve = self._make_serve(record)
             tenant.lanes.append(record)
             if self._engine is not None:
-                record.engine_lane = self._engine.add_lane(
-                    record, tenant=tenant_id, serve=record.serve
-                )
+                self._engine.add_lane(record)
             self.autoscale_events.append({
                 "tenant": tenant_id,
                 "action": "scale-up",
@@ -1276,25 +1243,22 @@ class Cluster(ExecutionBackend, MachineGroupView):
                 "lanes": len(tenant.lanes),
             })
 
-    def _on_batch_done(self, lane) -> None:
-        """Engine completion hook, on ``lane``'s own thread between two
+    def _on_batch_done(self, record: _LaneRecord) -> None:
+        """Engine completion hook, on the lane's own thread between two
         of its batches: retire the lane when it is a scaled lane and its
         tenant's queue is empty.  The lane holds no batch here, so the
         accounting it leaves behind is final."""
-        tenant_id = lane.tenant
+        tenant_id = record.tenant
         with self._admit_lock:
             tenant = self._tenants.get(tenant_id)
             engine = self._engine
             if tenant is None or engine is None:
                 return
-            record = next(
-                (r for r in tenant.lanes if r.engine_lane is lane), None
-            )
-            if record is None or not record.scaled:
+            if not record.scaled or record not in tenant.lanes:
                 return
             if engine.pending_rows(tenant_id) > 0:
                 return
-            engine.remove_lane(lane)
+            engine.remove_lane(record)
             tenant.lanes.remove(record)
             with self._stats_lock:
                 tenant.retired_lanes.append(record.stats.report())
@@ -1360,46 +1324,6 @@ class Cluster(ExecutionBackend, MachineGroupView):
         return merge_concurrent_reports(machines + privates)
 
     # ------------------------------------------------------------ lifecycle
-    def clone(self, noise_seed=None) -> "Cluster":
-        """An independent cluster re-admitting every live tenant (same
-        compiled artifacts, fresh machines; accounting starts over)."""
-        with self._admit_lock:
-            seed = (
-                self._noise_seq.spawn(1)[0] if noise_seed is None
-                else noise_seed
-            )
-            other = Cluster(
-                self.spec,
-                self.tech,
-                max_machines=self.max_machines,
-                max_batch=self.max_batch,
-                max_wait=self.max_wait,
-                time_scale=self.time_scale,
-                autoscale_max_lanes=self.autoscale_max_lanes,
-                autoscale_backlog_rows=self.autoscale_backlog_rows,
-                noise_sigma=self.noise_sigma,
-                noise_seed=seed,
-                fused=self.fused,
-                placement_policy=self.placement_policy,
-                traffic_hints=dict(self._traffic_hints),
-            )
-            sources = [
-                (tid, self._tenants[tid]) for tid in self._admit_order
-            ]
-        for tid, tenant in sources:
-            if tenant.kind == "placed":
-                other.admit(tenant.program, tenant_id=tid)
-            else:
-                shim = _ShardedSource(tenant.shard_set, self.spec,
-                                      self.tech, tenant.func_name)
-                other.admit(shim, tenant_id=tid)
-            if tenant.store_state is not None:
-                other._mutate(
-                    tid,
-                    self._replay_op(tenant.store_state, tenant.initial_gids),
-                )
-        return other
-
     def reset(self) -> None:
         """Re-place and re-program every tenant on fresh machines and
         restart all accounting (epochs, autoscale history, lanes).
@@ -1431,11 +1355,9 @@ class Cluster(ExecutionBackend, MachineGroupView):
                 shim = _ShardedSource(tenant.shard_set, self.spec,
                                       self.tech, tenant.func_name)
                 self.admit(shim, tenant_id=tid)
-            if tenant.store_state is not None:
-                self._mutate(
-                    tid,
-                    self._replay_op(tenant.store_state, tenant.initial_gids),
-                )
+            state = tenant.store_state
+            if state is not None:
+                self._mutate(tid, lambda backend: backend.restore(state))
 
     def shutdown(self, wait: bool = True, abort: bool = False) -> None:
         """Stop serving.  ``wait=True`` drains every submitted future;
@@ -1479,7 +1401,7 @@ class Cluster(ExecutionBackend, MachineGroupView):
 
 class _ShardedSource:
     """A minimal kernel-shaped carrier for re-admitting a shard set
-    (clone/reset paths) without recompiling anything."""
+    (the reset path) without recompiling anything."""
 
     def __init__(self, shard_set: ShardSet, spec, tech, func_name):
         self.shard_set = shard_set

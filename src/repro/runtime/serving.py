@@ -7,8 +7,7 @@ PR 1 made the CAM a program-once / query-many device
 still served one synchronous batch at a time from a single copy of the
 store.  This module adds the *throughput* axis, the way asynchronous
 memory-access designs (AMU) decouple request issue from completion on
-fixed-latency hardware and hybrid data planes route each request to the
-best path:
+fixed-latency hardware:
 
 * :class:`ReplicatedSession` — R independently programmed **replicas**
   of one (possibly sharded) store.  Replicas are cloned from the
@@ -29,7 +28,7 @@ best path:
   ``max_batch`` rows, waiting at most ``max_wait`` seconds to fill one)
   from the engine's one request intake.
 
-The engine is built from two parts so higher control planes
+The engine is built from two parts so the multi-tenant control plane
 (:class:`~repro.runtime.cluster.Cluster`) can reuse its worker/future
 plumbing wholesale:
 
@@ -46,7 +45,10 @@ plumbing wholesale:
   mechanism a queue-depth autoscaler grows and shrinks per-tenant
   capacity with.  A lane may carry a tenant affinity (it serves only
   that tenant's batches) and a machine lock (colocated backends of one
-  physical machine serialize, like the hardware).
+  physical machine serialize, like the hardware); it serves each batch
+  under that lock.  The cluster's lanes are a subclass whose ``serve``
+  follows the tenant's session across re-placements and charges the
+  batch to the tenant's accounting.
 
 **Identity guarantee** — with device noise disabled, the values/indices
 a future resolves to are *bitwise identical* to calling the underlying
@@ -67,6 +69,7 @@ see the fixed-latency-device behaviour the paper's hardware would have.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import threading
 import time
@@ -81,7 +84,7 @@ from repro.simulator.metrics import (
     merge_concurrent_reports,
 )
 
-from .backend import ClusterShutdown, ExecutionBackend, LaneStats, SessionError
+from .backend import ClusterShutdown, LaneStats, SessionError
 from .machineview import MachineGroupView
 
 __all__ = [
@@ -93,7 +96,7 @@ __all__ = [
 
 
 # ----------------------------------------------------------- replication
-class ReplicatedSession(ExecutionBackend, MachineGroupView):
+class ReplicatedSession(MachineGroupView):
     """R independently programmed copies of one store, for throughput.
 
     Wraps a compiled :class:`~repro.runtime.session.QuerySession` or
@@ -158,14 +161,11 @@ class ReplicatedSession(ExecutionBackend, MachineGroupView):
                 out.append(replica.machine)
         return out
 
-    # ------------------------------------------------------- protocol bits
-    def query_width(self, tenant: Optional[str] = None) -> Optional[int]:
-        """Delegates to the base replica (every copy serves the same
-        store, so they all share one width map)."""
-        return self.replicas[0].query_width(tenant)
-
-    def tenant_widths(self) -> Optional[Dict[str, int]]:
-        return self.replicas[0].tenant_widths()
+    # ------------------------------------------------------------- widths
+    def query_width(self) -> int:
+        """The base replica's feature dimension (every copy serves the
+        same store)."""
+        return self.replicas[0].query_width()
 
     def setup_report(self) -> ExecutionReport:
         """Zero-query baseline: replicas program in parallel, every
@@ -185,19 +185,15 @@ class ReplicatedSession(ExecutionBackend, MachineGroupView):
             self.batches_run = 0
 
     # ------------------------------------------------------------- queries
-    def run_on(
-        self, index: int, queries: np.ndarray, tenant: Optional[str] = None
-    ) -> List[np.ndarray]:
+    def run_on(self, index: int, queries: np.ndarray) -> List[np.ndarray]:
         """Serve one batch on replica ``index``; records its lane.
 
         Concurrent calls are safe for *distinct* indices (the engine
         runs one worker per replica); a single replica must serve its
-        batches serially, like the hardware it models.  ``tenant``
-        routes the batch to that tenant's store when the replicas are
-        multi-tenant backends (:class:`~repro.runtime.cluster.Cluster`).
+        batches serially, like the hardware it models.
         """
         replica = self.replicas[index]
-        outputs = replica.run_batch(queries, tenant=tenant)
+        outputs = replica.run_batch(queries)
         report = replica.last_report
         with self._lock:
             self._lanes[index].add(report)
@@ -205,9 +201,7 @@ class ReplicatedSession(ExecutionBackend, MachineGroupView):
             self.batches_run += 1
         return outputs
 
-    def run_batch(
-        self, queries: np.ndarray, tenant: Optional[str] = None
-    ) -> List[np.ndarray]:
+    def run_batch(self, queries: np.ndarray) -> List[np.ndarray]:
         """Serve one batch on the least-loaded replica (synchronous).
 
         Load is the lane's accumulated simulated busy time, so a stream
@@ -221,7 +215,7 @@ class ReplicatedSession(ExecutionBackend, MachineGroupView):
                 range(len(self.replicas)),
                 key=lambda i: (self._lanes[i].latency_ns, i),
             )
-        return self.run_on(index, queries, tenant=tenant)
+        return self.run_on(index, queries)
 
     # ------------------------------------------------------------ mutations
     # Store mutations apply to *every* replica: clones share the initial
@@ -287,8 +281,7 @@ class _Request:
 
     __slots__ = (
         "queries", "rows", "future", "tenant", "priority", "deadline", "seq",
-        "t_submit", "t_coalesce", "t_dispatch", "t_serve_start",
-        "t_serve_end", "t_done",
+        "t_submit", "t_coalesce", "t_dispatch", "t_serve_end", "t_done",
     )
     _seq = itertools.count()
 
@@ -312,7 +305,6 @@ class _Request:
         self.t_submit = time.perf_counter()
         self.t_coalesce: Optional[float] = None
         self.t_dispatch: Optional[float] = None
-        self.t_serve_start: Optional[float] = None
         self.t_serve_end: Optional[float] = None
         self.t_done: Optional[float] = None
 
@@ -488,25 +480,34 @@ class PriorityIntake:
 # ------------------------------------------------------------------ lanes
 class _Lane:
     """One serving lane: a backend copy and the worker thread that
-    pulls its micro-batches from the engine's intake, one at a time."""
+    pulls its micro-batches from the engine's intake, one at a time.
+
+    ``run`` is what :meth:`serve` calls: the backend's ``run_batch`` by
+    default, or a replicated session's ``run_on`` for this lane's
+    replica, so the session keeps its own lane accounting.
+    """
 
     __slots__ = (
-        "backend", "serve", "tenant", "lock", "thread", "rows_dispatched",
+        "backend", "run", "tenant", "lock", "thread", "rows_dispatched",
         "alive", "busy_until",
     )
 
-    def __init__(self, backend, serve, tenant, lock):
+    def __init__(self, backend, tenant=None, lock=None, run=None):
         self.backend = backend
-        self.serve = serve            # (queries, tenant) -> result
+        self.run = backend.run_batch if run is None else run
         self.tenant = tenant          # affinity: None serves any tenant
         # Machine lock for colocated backends; a private lock otherwise.
-        # Every lane serves under its lock so store mutations
-        # (ServingEngine.mutate) serialize against in-flight batches.
         self.lock = lock if lock is not None else threading.Lock()
         self.thread: Optional[threading.Thread] = None
         self.rows_dispatched = 0
         self.alive = True             # cleared by PriorityIntake.retire
         self.busy_until = 0.0         # when the last paced hold ends
+
+    def serve(self, queries: np.ndarray):
+        """Serve one micro-batch under the lane's lock, so store
+        mutations (:meth:`ServingEngine.mutate`) serialize against it."""
+        with self.lock:
+            return self.run(queries)
 
 
 def _percentile(ordered: List[float], pct: float) -> float:
@@ -580,23 +581,11 @@ def _default_split(result, lo: int, hi: int):
     )
 
 
-def _probe_widths(backend):
-    """(tenant-width map, single width) via the protocol, duck-typed.
-
-    Raw list backends (e.g. the pattern-matcher adapters) predate the
-    protocol; they fall back to a ``features`` attribute or simply let
-    the first request pin the width.
-    """
-    tenant_widths = getattr(backend, "tenant_widths", None)
-    if callable(tenant_widths):
-        tenants = tenant_widths()
-        if tenants is not None:
-            return dict(tenants), None
+def _probe_width(backend) -> Optional[int]:
+    """The backend's ``query_width()``, or ``None`` when it has none
+    (the first request then pins the width)."""
     query_width = getattr(backend, "query_width", None)
-    if callable(query_width):
-        return None, query_width()
-    features = getattr(backend, "features", None)
-    return None, features if isinstance(features, int) else None
+    return query_width() if callable(query_width) else None
 
 
 # -------------------------------------------------------------- the engine
@@ -649,11 +638,13 @@ class ServingEngine:
             raise ValueError("max_wait must be >= 0 seconds")
         self.session = None
         backends: List = []
+        #: Per-tenant query widths when a control plane serves several
+        #: tenants; ``None`` when every request shares one width.
+        self._tenants: Optional[Dict[str, int]] = None
         if session is None:
             # A control plane (the cluster) attaches lanes itself via
             # add_lane() and registers tenant widths explicitly.
-            self._tenants: Optional[Dict[str, int]] = {}
-            self._features: Optional[int] = None
+            self._tenants = {}
         elif isinstance(session, (list, tuple)):
             if not session:
                 raise SessionError("the engine needs at least one replica")
@@ -668,12 +659,10 @@ class ServingEngine:
         self.time_scale = time_scale
         self._split = split or _default_split
 
-        if backends:
-            # Feature width every request must share (requests coalesce).
-            # Seeded from the backend when it knows; otherwise the first
-            # request pins it.  Multi-tenant backends instead carry one
-            # width per tenant, and every submit must name its tenant.
-            self._tenants, self._features = _probe_widths(backends[0])
+        # Feature width every request must share (requests coalesce).
+        # Seeded from the backend when it knows; otherwise the first
+        # request pins it.
+        self._features = _probe_width(backends[0]) if backends else None
 
         self._intake = PriorityIntake()
         self._lock = threading.Lock()
@@ -693,32 +682,14 @@ class ServingEngine:
         #: autoscaler can retire the lane with its accounting final.
         self.on_batch_done: Optional[Callable[[_Lane], None]] = None
 
-        if self.session is not None:
-            for index, replica in enumerate(backends):
-                self._start_lane(self._session_lane(index, replica))
-        else:
-            for replica in backends:
-                self._start_lane(self._backend_lane(replica))
+        for index, backend in enumerate(backends):
+            run = (
+                None if self.session is None
+                else functools.partial(self.session.run_on, index)
+            )
+            self._start_lane(_Lane(backend, run=run))
 
     # -------------------------------------------------------- lane plumbing
-    def _session_lane(self, index: int, replica) -> _Lane:
-        """A lane pinned to ``session.run_on(index, ...)`` so the
-        replicated session keeps its own lane accounting."""
-        def serve(queries, tenant, _index=index):
-            return self.session.run_on(_index, queries, tenant=tenant)
-
-        return _Lane(replica, serve, tenant=None, lock=None)
-
-    def _backend_lane(self, backend, tenant=None, lock=None) -> _Lane:
-        """A lane serving ``backend.run_batch`` directly."""
-        def serve(queries, request_tenant):
-            if request_tenant is not None and tenant is None:
-                # a tenant-routed request on a shared backend
-                return backend.run_batch(queries, tenant=request_tenant)
-            return backend.run_batch(queries)
-
-        return _Lane(backend, serve, tenant=tenant, lock=lock)
-
     def _start_lane(self, lane: _Lane) -> _Lane:
         with self._lock:
             if self._closed:
@@ -735,19 +706,18 @@ class ServingEngine:
         return lane
 
     def add_lane(self, backend, tenant: Optional[str] = None,
-                 lock: Optional[threading.Lock] = None,
-                 serve: Optional[Callable] = None) -> _Lane:
+                 lock: Optional[threading.Lock] = None) -> _Lane:
         """Attach a new serving lane at runtime (autoscale-up).
 
-        ``tenant`` pins the lane to one tenant's batches; ``lock``
-        serializes the lane with other lanes colocated on the same
-        physical machine; ``serve`` overrides the ``(queries, tenant)``
-        callable (defaults to the backend's protocol ``run_batch``).
+        The lane serves ``backend.run_batch``; ``tenant`` pins it to one
+        tenant's batches; ``lock`` serializes it with other lanes
+        colocated on the same physical machine.  ``backend`` may instead
+        be a ready lane (the cluster's lane records), which carries its
+        own tenant and lock.
         """
         lane = (
-            self._backend_lane(backend, tenant=tenant, lock=lock)
-            if serve is None
-            else _Lane(backend, serve, tenant=tenant, lock=lock)
+            backend if isinstance(backend, _Lane)
+            else _Lane(backend, tenant=tenant, lock=lock)
         )
         return self._start_lane(lane)
 
@@ -798,30 +768,24 @@ class ServingEngine:
         """Queued rows no lane has taken yet, optionally one tenant's."""
         return self._intake.pending_rows(tenant)
 
-    def mutate(self, fn: Callable, tenant: Optional[str] = None) -> List:
+    def mutate(self, fn: Callable) -> List:
         """Apply a store mutation to every serving lane, safely
         interleaved with in-flight query batches.
 
         ``fn(backend)`` runs once per distinct lane backend (replica),
         under that lane's lock — a batch being served on the lane
         finishes first, and the lane's next batch sees the mutated
-        store.  ``tenant`` restricts the mutation to lanes serving that
-        tenant (its pinned lanes plus shared lanes); ``fn`` must then
-        route to the tenant's store itself.  The call returning is the
-        completion barrier: every lane has applied the mutation, so no
-        later-submitted request can observe the old store.  Returns the
-        per-backend results of ``fn``.
+        store.  The call returning is the completion barrier: every
+        lane has applied the mutation, so no later-submitted request
+        can observe the old store.  Returns the per-backend results of
+        ``fn``.
         """
         with self._lock:
             if self._closed:
                 raise SessionError(
                     "the serving engine is shut down; no mutations"
                 )
-            lanes = [
-                lane for lane in self._lanes
-                if lane.alive
-                and (tenant is None or lane.tenant in (None, tenant))
-            ]
+            lanes = [lane for lane in self._lanes if lane.alive]
         results, seen = [], set()
         for lane in lanes:
             if id(lane.backend) in seen:
@@ -830,10 +794,7 @@ class ServingEngine:
             with lane.lock:
                 results.append(fn(lane.backend))
         if not results:
-            raise SessionError(
-                f"no serving lane accepts tenant {tenant!r}; "
-                "nothing to mutate"
-            )
+            raise SessionError("no live serving lane; nothing to mutate")
         return results
 
     def submit(
@@ -868,7 +829,9 @@ class ServingEngine:
             raise ValueError(
                 "submit() takes one 1-D query or a non-empty 2-D batch"
             )
-        if deadline is not None and deadline < 0:
+        # NaN fails every comparison, so it would pass a plain < 0 test
+        # and then break the EDF order of the whole intake.
+        if deadline is not None and not deadline >= 0:
             raise ValueError("deadline must be >= 0 seconds from now")
         request = _Request(
             batch, tenant=tenant, priority=priority, deadline=deadline
@@ -982,7 +945,6 @@ class ServingEngine:
 
     def _serve_batch(self, lane: _Lane, batch: List[_Request],
                      rows: int) -> None:
-        tenant = batch[0].tenant
         # Any failure — assembling the batch, the backend, the pacing,
         # or splitting the result — is delivered to the batch's
         # futures; the lane itself must survive to serve later batches.
@@ -1009,14 +971,11 @@ class ServingEngine:
                 self.batches_dispatched += 1
                 if zero_copy:
                     self.zero_copy_batches += 1
-            with lane.lock:
-                started = time.perf_counter()
-                result = lane.serve(queries, tenant)
+            result = lane.serve(queries)
             self._pace(lane, batch, dispatched)
             served = time.perf_counter()
             offset = 0
             for request in batch:
-                request.t_serve_start = started
                 request.t_serve_end = served
                 piece = self._split(result, offset, offset + request.rows)
                 offset += request.rows

@@ -61,7 +61,7 @@ from repro.simulator.machine import CamMachine
 from repro.simulator.metrics import EnergyBreakdown, ExecutionReport
 from repro.transforms.partitioning import PartitionPlan
 
-from .backend import ExecutionBackend, SessionError
+from .backend import SessionError
 from .executor import Interpreter
 from .fused import build_fused_plan
 
@@ -180,7 +180,7 @@ class QueryProgram:
         return out
 
 
-class QuerySession(ExecutionBackend):
+class QuerySession:
     """A live, programmed machine answering query batches.
 
     Owns a :class:`CamMachine` that is programmed exactly once (during
@@ -824,10 +824,9 @@ class QuerySession(ExecutionBackend):
             self.mutations += 1
         self._next_id = max(self._next_id, int(state.next_id))
 
-    # ------------------------------------------------------- protocol bits
-    def query_width(self, tenant: Optional[str] = None) -> int:
-        """The kernel's feature dimension (single-tenant backend)."""
-        self._require_no_tenant(tenant)
+    # ------------------------------------------------------------- widths
+    def query_width(self) -> int:
+        """The kernel's feature dimension."""
         return self.program.plan.features
 
     def setup_report(self) -> ExecutionReport:
@@ -852,9 +851,7 @@ class QuerySession(ExecutionBackend):
         return self.last_report or self.setup_report()
 
     # ------------------------------------------------------------- queries
-    def run_batch(
-        self, queries: np.ndarray, tenant: Optional[str] = None
-    ) -> List[np.ndarray]:
+    def run_batch(self, queries: np.ndarray) -> List[np.ndarray]:
         """Answer a ``B×D`` query batch; returns ``[values, indices]``.
 
         ``values`` is ``B×k`` float32, ``indices`` ``B×k`` int64 —
@@ -863,7 +860,6 @@ class QuerySession(ExecutionBackend):
         :attr:`last_report` charges this batch's query latency/energy
         plus the session's one-time setup cost.
         """
-        self._require_no_tenant(tenant)
         plan, machine = self.program.plan, self.machine
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         if queries.ndim != 2:

@@ -69,7 +69,7 @@ from repro.transforms.partitioning import (
     machine_row_capacity,
 )
 
-from .backend import ExecutionBackend, SessionError
+from .backend import SessionError
 from .machineview import MachineGroupView
 from .session import QuerySession, StoreOverflow, StoreState
 
@@ -142,7 +142,9 @@ class Shard:
     single parameter is ``stored`` (the ``rows×features`` row slice);
     ``program`` the query-phase structure its
     :class:`~repro.runtime.session.QuerySession` replays; ``row_offset``
-    maps the shard's local pattern indices back to global rows.
+    is the global id of the shard's first stored row, and its other
+    compiled rows follow consecutively.  A shard split off at runtime
+    holds one row, so its offset is that row's id.
     """
 
     module: ModuleOp
@@ -286,7 +288,7 @@ def build_shard_set(
 
 
 # ---------------------------------------------------------------- sessions
-class ShardedSession(ExecutionBackend, MachineGroupView):
+class ShardedSession(MachineGroupView):
     """N live machines serving one similarity kernel's query stream.
 
     Owns one :class:`~repro.runtime.session.QuerySession` per shard —
@@ -368,16 +370,14 @@ class ShardedSession(ExecutionBackend, MachineGroupView):
         # session serves the *global* k.
         for session in self.sessions:
             session.serve_k = self.k
-        self._gid_map: Dict[int, Tuple[int, int]] = {}
-        self._initial_gids: List[List[int]] = []
-        gid = 0
-        for si, shard in enumerate(shard_set.shards):
-            gids = list(range(gid, gid + shard.rows))
-            for local, g in enumerate(gids):
-                self._gid_map[g] = (si, local)
-            self._initial_gids.append(gids)
-            gid += shard.rows
-        self._next_gid = gid
+        self._gid_map: Dict[int, Tuple[int, int]] = {
+            shard.row_offset + local: (si, local)
+            for si, shard in enumerate(shard_set.shards)
+            for local in range(shard.rows)
+        }
+        self._next_gid = max(
+            shard.row_offset + shard.rows for shard in shard_set.shards
+        )
         self.mutations = 0
         self.compactions = 0
 
@@ -399,10 +399,9 @@ class ShardedSession(ExecutionBackend, MachineGroupView):
     def row_offsets(self) -> List[int]:
         return self.shard_set.row_offsets
 
-    # ------------------------------------------------------- protocol bits
-    def query_width(self, tenant: Optional[str] = None) -> int:
-        """The kernel's feature dimension (single-tenant backend)."""
-        self._require_no_tenant(tenant)
+    # ------------------------------------------------------------- widths
+    def query_width(self) -> int:
+        """The kernel's feature dimension."""
         return self.shard_set.features
 
     def setup_report(self) -> ExecutionReport:
@@ -463,7 +462,6 @@ class ShardedSession(ExecutionBackend, MachineGroupView):
             for source, child in zip(self.sessions, children)
         ])
         if self.mutations or self.compactions:
-            session._seed_gids(self._initial_gids)
             session.restore(self.store_state())
         for shard in session.sessions:
             shard._ready_plan()
@@ -536,20 +534,17 @@ class ShardedSession(ExecutionBackend, MachineGroupView):
     ) -> int:
         gid = self._next_gid if forced_gid is None else int(forced_gid)
         si = len(self.sessions) - 1
-        appended = False
         try:
             local = self.sessions[si].insert(row)[0]
         except StoreOverflow:
-            si, local = self._append_shard(row)
-            appended = True
+            si, local = self._append_shard(row, gid)
         self._next_gid = max(self._next_gid, gid + 1)
         self._gid_map[gid] = (si, local)
-        if appended:
-            self._initial_gids[si] = [gid]
         return gid
 
-    def _append_shard(self, row: np.ndarray) -> Tuple[int, int]:
-        """Compile and program a new single-row shard seeded with ``row``."""
+    def _append_shard(self, row: np.ndarray, gid: int) -> Tuple[int, int]:
+        """Compile and program a new single-row shard seeded with ``row``,
+        whose global id ``gid`` becomes the shard's row offset."""
         ss = self.shard_set
         config = ss.config or resolve_optimization(self.spec)
         module = _build_shard_module(
@@ -562,12 +557,11 @@ class ShardedSession(ExecutionBackend, MachineGroupView):
         pm.run(module)
         dtype = ss.shards[0].stored.dtype
         stored = np.ascontiguousarray(row[None, :].astype(dtype))
-        prev = ss.shards[-1]
         shard = Shard(
             module=module,
             stored=stored,
             program=cam.programs[0],
-            row_offset=prev.row_offset + prev.rows,
+            row_offset=gid,
         )
         self.shard_set = replace(ss, shards=ss.shards + (shard,))
         session = QuerySession(
@@ -583,7 +577,6 @@ class ShardedSession(ExecutionBackend, MachineGroupView):
         )
         session.serve_k = self.k
         self.sessions.append(session)
-        self._initial_gids.append([])
         return len(self.sessions) - 1, 0
 
     def delete(self, ids: Union[int, Sequence[int]]) -> None:
@@ -661,21 +654,8 @@ class ShardedSession(ExecutionBackend, MachineGroupView):
             self.mutations += 1
         self._next_gid = max(self._next_gid, int(state.next_id))
 
-    def _seed_gids(self, initial_gids: List[List[int]]) -> None:
-        """Adopt a parent's per-shard initial gid assignment (clone)."""
-        self._gid_map = {}
-        self._initial_gids = [list(gids) for gids in initial_gids]
-        top = -1
-        for si, gids in enumerate(self._initial_gids):
-            for local, gid in enumerate(gids):
-                self._gid_map[gid] = (si, local)
-                top = max(top, gid)
-        self._next_gid = top + 1
-
     # ------------------------------------------------------------- queries
-    def run_batch(
-        self, queries: np.ndarray, tenant: Optional[str] = None
-    ) -> List[np.ndarray]:
+    def run_batch(self, queries: np.ndarray) -> List[np.ndarray]:
         """Fan a ``B×D`` batch out to every shard and merge the top-k.
 
         Returns ``[values, indices]`` (``B×k`` float32 / int64) with
@@ -684,7 +664,6 @@ class ShardedSession(ExecutionBackend, MachineGroupView):
         re-ranks the shards' float64 candidate scores with the same
         stable tie-break as the single-machine top-k peripheral.
         """
-        self._require_no_tenant(tenant)
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
         outputs = [session.run_batch(queries) for session in self.sessions]
         n_queries = queries.shape[0]

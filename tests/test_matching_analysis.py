@@ -72,6 +72,15 @@ class TestPatternMatcher:
         with pytest.raises(ValueError):
             matcher.lookup(np.zeros(32))
 
+    def test_served_query_width_validated_at_submit(self):
+        """The serving engine knows the rule width before any request,
+        so even the first misfit is refused at submit()."""
+        matcher = self.make(np.zeros((4, 64)))
+        with matcher.serve() as engine:
+            with pytest.raises(ValueError, match="width"):
+                engine.submit(np.zeros(32))
+            assert engine.submit(np.zeros(64)).result(timeout=30)
+
     def test_report_accumulates(self):
         matcher = self.make(np.zeros((4, 32)))
         matcher.lookup(np.zeros(32))

@@ -818,7 +818,6 @@ def _walked_clone(source, noise_seed):
             noise_seed=noise_seed, fused=source.fused,
         )
         if mutated:
-            walked._seed_gids(source._initial_gids)
             walked.restore(source.store_state())
         return walked
     walked = QuerySession(
@@ -870,8 +869,8 @@ def _assert_same_replica(got, want):
                 for s in got.shard_set.shards] == [
             (s.row_offset, s.stored.tobytes())
             for s in want.shard_set.shards]
-        assert (got._gid_map, got._initial_gids, got._next_gid) == (
-            want._gid_map, want._initial_gids, want._next_gid)
+        assert (got._gid_map, got._next_gid) == (
+            want._gid_map, want._next_gid)
         assert (got.mutations, got.compactions) == (
             want.mutations, want.compactions)
         assert len(got.sessions) == len(want.sessions)

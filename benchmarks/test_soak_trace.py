@@ -6,8 +6,8 @@ tenant, a second warm one, a cold tail — so *where* tenants land
 decides tail latency: FFD packs by bank demand alone and (equal
 demands, submission order) co-locates the two busiest tenants, driving
 their shared machine past saturation; the cost-guided packer
-(``policy="cost"``) sees the predicted interference and spreads them at
-the **same fleet size**.
+(``plan_placement`` handed the calibrated ``PlacementCost``) sees the
+predicted interference and spreads them at the **same fleet size**.
 
 The soak replays the same deterministic arrival timeline (sim clock,
 measured per-batch service latencies, serialized per machine) against
@@ -134,10 +134,8 @@ def _layouts(fleet):
         for tid in TENANTS
     ]
     plans = {
-        "ffd": plan_placement(demands, SPEC, policy="ffd"),
-        "cost": plan_placement(
-            demands, SPEC, policy="cost", cost_model=fleet["model"]
-        ),
+        "ffd": plan_placement(demands, SPEC),
+        "cost": plan_placement(demands, SPEC, cost_model=fleet["model"]),
     }
     machine_of = {
         policy: {a.tenant_id: a.machine_index for a in plan.assignments}

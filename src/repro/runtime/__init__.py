@@ -17,12 +17,6 @@ The differential suites under ``tests/`` assert all of it.
 from . import values
 from .backend import ClusterShutdown
 from .cluster import Cluster
-from .costmodel import (
-    PlacementCost,
-    TenantProfile,
-    TrafficHint,
-    TrafficTrace,
-)
 from .executor import ExecutionError, Interpreter
 from .placement import (
     PlacementError,
@@ -48,7 +42,6 @@ __all__ = [
     "ClusterShutdown",
     "ExecutionError",
     "Interpreter",
-    "PlacementCost",
     "PlacementError",
     "QueryProgram",
     "QuerySession",
@@ -59,10 +52,7 @@ __all__ = [
     "ShardedSession",
     "ShardSet",
     "TenantDemand",
-    "TenantProfile",
     "TenantProgram",
-    "TrafficHint",
-    "TrafficTrace",
     "aggregate_reports",
     "build_shard_set",
     "plan_shard_count",

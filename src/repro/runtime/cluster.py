@@ -23,7 +23,11 @@ tenant affinity and tenant-pure batches those lanes need:
   because results depend only on a tenant's own compiled artifacts,
   every surviving tenant's ``run_batch`` stays **bitwise identical**
   across the re-placement.  When first-fit fails but a re-pack would
-  make room, :meth:`admit` defragments instead of refusing.
+  make room, :meth:`admit` defragments instead of refusing.  Placement
+  packs by bank demand alone (first fit on admit, first-fit-decreasing
+  on a re-pack); a traffic-aware layout is planned offline, by
+  :func:`plan_placement` with a
+  :class:`~repro.runtime.costmodel.PlacementCost`.
 * **sharded tenants** — a kernel whose bank demand exceeds one machine
   (compiled with a ``shard_set``) joins the fleet as a
   :class:`~repro.runtime.sharding.ShardedSession` spanning its own
@@ -65,6 +69,7 @@ epoch accounting) holds identically with fusion on or off.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import threading
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -82,12 +87,10 @@ from repro.simulator.metrics import (
 )
 
 from .backend import ClusterShutdown, LaneStats, SessionError
-from .costmodel import PlacementCost, TenantProfile, TrafficHint
 from .machineview import MachineGroupView
 from .placement import (
     PlacementError,
     TenantProgram,
-    _cost_model_usable,
     plan_placement,
     tenant_demand,
 )
@@ -96,28 +99,6 @@ from .session import QuerySession, StoreOverflow
 from .sharding import ShardedSession, ShardSet
 
 __all__ = ["Cluster", "ClusterShutdown"]
-
-
-def _normalize_hints(hints) -> Dict[str, "TrafficHint"]:
-    """Traffic hints as a tenant-keyed dict, from a dict or iterable."""
-    if hints is None:
-        return {}
-    if isinstance(hints, dict):
-        out = dict(hints)
-    else:
-        out = {hint.tenant_id: hint for hint in hints}
-    for tid, hint in out.items():
-        if not isinstance(hint, TrafficHint):
-            raise TypeError(
-                f"traffic hint for {tid!r} is a "
-                f"{type(hint).__name__}, not a TrafficHint"
-            )
-        if hint.tenant_id != tid:
-            raise ValueError(
-                f"traffic hint keyed {tid!r} names tenant "
-                f"{hint.tenant_id!r}"
-            )
-    return out
 
 
 class _LaneRecord(_Lane):
@@ -153,28 +134,34 @@ class _LaneRecord(_Lane):
         self.generation = 0
         self.retired = False
 
-    def serve(self, queries: np.ndarray):
-        """Serve one batch under the machine lock, on the session the
-        lane holds when it gets the lock (a re-placement may swap it
-        while the lane waits), and charge it to the current epoch
-        before the lock is released — so an eviction, which retires
-        the lane under the same lock, either counts the batch in the
-        tenant's final report or fails it with
-        :class:`~repro.runtime.backend.ClusterShutdown` unserved."""
+    @contextlib.contextmanager
+    def bound(self):
+        """Hold the lane's machine lock and yield the session the lane
+        holds once it has the lock: a re-placement may swap both while
+        the caller waits, and then the caller waits on the new lock."""
         while True:
             generation = self.generation
             backend, lock = self.backend, self.lock
             with lock:
-                if self.generation != generation:
-                    continue  # defragged while waiting: rebind
-                if self.retired:
-                    raise ClusterShutdown(
-                        f"tenant {self.tenant!r} was evicted before this "
-                        "request ran"
-                    )
-                outputs = backend.run_batch(queries)
-                self.cluster._charge(self, backend.last_report)
-                return outputs
+                if self.generation == generation:
+                    yield backend
+                    return
+
+    def serve(self, queries: np.ndarray):
+        """Serve one batch on the lane's current session and charge it
+        to the current epoch before the machine lock is released — so
+        an eviction, which retires the lane under the same lock, either
+        counts the batch in the tenant's final report or fails it with
+        :class:`~repro.runtime.backend.ClusterShutdown` unserved."""
+        with self.bound() as backend:
+            if self.retired:
+                raise ClusterShutdown(
+                    f"tenant {self.tenant!r} was evicted before this "
+                    "request ran"
+                )
+            outputs = backend.run_batch(queries)
+            self.cluster._charge(self, backend.last_report)
+            return outputs
 
 
 class _Tenant:
@@ -248,18 +235,11 @@ class Cluster(MachineGroupView):
         noise_sigma: float = 0.0,
         noise_seed=0,
         fused: bool = True,
-        placement_policy: str = "ffd",
-        traffic_hints=None,
     ):
         if max_machines is not None and max_machines < 1:
             raise ValueError("max_machines must be >= 1 (or None for auto)")
         if autoscale_max_lanes < 1:
             raise ValueError("autoscale_max_lanes must be >= 1")
-        if placement_policy not in ("ffd", "cost"):
-            raise ValueError(
-                f"unknown placement policy {placement_policy!r} "
-                "(one of 'ffd', 'cost')"
-            )
         self.spec = spec
         self.tech = tech
         self.max_machines = max_machines
@@ -273,10 +253,6 @@ class Cluster(MachineGroupView):
         )
         self.noise_sigma = float(noise_sigma)
         self.fused = bool(fused)
-        self.placement_policy = placement_policy
-        self._traffic_hints: Dict[str, TrafficHint] = (
-            _normalize_hints(traffic_hints)
-        )
         self._noise_seq = (
             noise_seed
             if isinstance(noise_seed, np.random.SeedSequence)
@@ -521,7 +497,7 @@ class Cluster(MachineGroupView):
         if self.max_machines is not None:
             if self._machines_in_use() + needed > self.max_machines:
                 # Defragmenting the shared fleet may shrink it enough.
-                self._defragment(reason="admit")
+                self._defragment()
             if self._machines_in_use() + needed > self.max_machines:
                 raise PlacementError(
                     f"tenant {tenant.tenant_id!r} needs {needed} "
@@ -569,65 +545,6 @@ class Cluster(MachineGroupView):
             demands.append(self._tenant_demand(extra))
         return demands
 
-    # -------------------------------------------------- cost-model plumbing
-    def set_traffic_hints(self, hints) -> None:
-        """Install per-tenant :class:`~repro.runtime.costmodel.TrafficHint`
-        traffic expectations (a dict keyed by tenant id, or an iterable).
-        They steer the ``placement_policy="cost"`` packer and the
-        cost-burdened autoscaler; tenants without a hint fall back to
-        their observed query counts as a rate proxy."""
-        with self._admit_lock:
-            self._traffic_hints = _normalize_hints(hints)
-
-    def traffic_cost_model(self) -> Optional[PlacementCost]:
-        """The fleet's live :class:`PlacementCost`: per-tenant profiles
-        calibrated from measured lifetime reports (tenants that have
-        not served yet get a neutral zero-latency profile), traffic
-        hints from :meth:`set_traffic_hints` — observed query counts
-        stand in as relative rates for unhinted tenants.  ``None``
-        before any tenant is admitted."""
-        with self._admit_lock:
-            profiles: Dict[str, TenantProfile] = {}
-            hints: Dict[str, TrafficHint] = {}
-            for tid in self._admit_order:
-                tenant = self._tenants[tid]
-                report = self.tenant_report(tid)
-                banks = None
-                if tenant.kind == "placed" and tenant.lanes:
-                    banks = max(1, tenant.lanes[0].banks)
-                if report.queries > 0:
-                    profiles[tid] = TenantProfile.from_report(
-                        tid, report, banks=banks
-                    )
-                else:
-                    profiles[tid] = TenantProfile(
-                        tenant_id=tid,
-                        per_query_latency_ns=0.0,
-                        banks=banks if banks is not None else 1,
-                    )
-                hint = self._traffic_hints.get(tid)
-                if hint is not None:
-                    hints[tid] = hint
-                elif report.queries > 0:
-                    hints[tid] = TrafficHint(
-                        tenant_id=tid, rate_qps=float(report.queries)
-                    )
-            if not profiles:
-                return None
-            return PlacementCost(profiles, hints=hints, tech=self.tech)
-
-    def _plan_shared(self, demands):
-        """Plan the shared fleet under the cluster's placement policy
-        (the cost policy degrades to FFD until traffic exists)."""
-        cost_model = (
-            self.traffic_cost_model()
-            if self.placement_policy == "cost" else None
-        )
-        return plan_placement(
-            demands, self.spec, self._shared_budget(),
-            policy=self.placement_policy, cost_model=cost_model,
-        )
-
     def _admit_placed(self, tenant: _Tenant) -> None:
         demand = tenant_demand(tenant.tenant_id, tenant.program.plan,
                                self.spec)
@@ -641,21 +558,6 @@ class Cluster(MachineGroupView):
                 self.spec,
                 tenant_id=tenant.tenant_id,
             )
-        # Cost policy with a live traffic signal: admission re-packs the
-        # fleet around the newcomer instead of first-fitting it into
-        # whatever fragment is free — a hot newcomer must not land next
-        # to another hot tenant just because the banks happened to fit.
-        if self.placement_policy == "cost" and self._shared_machines:
-            model = self._admission_model(tenant)
-            demands = self._live_demands(extra=tenant)
-            if _cost_model_usable(model, demands):
-                plan = plan_placement(
-                    demands, self.spec, self._shared_budget(),
-                    policy="cost", cost_model=model,
-                )
-                self._defragment(reason="admit", plan=plan,
-                                 newcomer=tenant)
-                return
         index = self._first_fit(demand.banks)
         if index is None and self._may_open_shared():
             self._shared_machines.append(self._fresh_machine())
@@ -669,23 +571,7 @@ class Cluster(MachineGroupView):
         # First fit failed on the fragmented fleet: a re-pack including
         # the newcomer may still hold everyone (raises PlacementError —
         # with the full per-tenant breakdown — when it cannot).
-        plan = self._plan_shared(self._live_demands(extra=tenant))
-        self._defragment(reason="admit", plan=plan, newcomer=tenant)
-
-    def _admission_model(self, newcomer: _Tenant) -> Optional[PlacementCost]:
-        """The live cost model extended with the (not yet admitted)
-        newcomer: a neutral profile plus its traffic hint, if any."""
-        model = self.traffic_cost_model()
-        profiles = dict(model.profiles) if model is not None else {}
-        hints = dict(model.hints) if model is not None else {}
-        tid = newcomer.tenant_id
-        profiles.setdefault(
-            tid, TenantProfile(tenant_id=tid, per_query_latency_ns=0.0)
-        )
-        hint = self._traffic_hints.get(tid)
-        if hint is not None:
-            hints[tid] = hint
-        return PlacementCost(profiles, hints=hints, tech=self.tech)
+        self._defragment(newcomer=tenant)
 
     def _fresh_machine(self) -> CamMachine:
         return CamMachine(
@@ -748,15 +634,15 @@ class Cluster(MachineGroupView):
         )
 
     # -------------------------------------------------------- defragmenting
-    def _defragment(self, reason: str, plan=None,
-                    newcomer: Optional[_Tenant] = None,
+    def _defragment(self, newcomer: Optional[_Tenant] = None,
                     extra_reports=()) -> None:
         """Close the accounting epoch and re-pack the placed tenants.
 
         Runs with every shared-machine lock held, so in-flight batches
         drain first.  Surviving placed tenants are re-programmed onto
-        fresh machines per ``plan`` (default: a fresh
-        :func:`plan_placement` over the live set) — their compiled
+        fresh machines per a fresh :func:`plan_placement` over the live
+        set (raising :class:`~repro.runtime.placement.PlacementError`
+        before anything moves when it does not fit) — their compiled
         artifacts are untouched, so results stay bitwise identical —
         and ``newcomer``, when given, is placed alongside them.
         Private (sharded / scaled) lanes keep their machines and roll
@@ -764,14 +650,11 @@ class Cluster(MachineGroupView):
         ``extra_reports`` (an evicted tenant's final lane reports) are
         folded into the closing epoch.
         """
-        del reason  # for the call sites' readability only
-        if plan is None:
-            placed = any(
-                self._tenants[tid].kind == "placed"
-                for tid in self._admit_order
-            )
-            if placed or newcomer is not None:
-                plan = self._plan_shared(self._live_demands(extra=newcomer))
+        demands = self._live_demands(extra=newcomer)
+        plan = (
+            plan_placement(demands, self.spec, self._shared_budget())
+            if demands else None
+        )
         locks = list(self._shared_locks)
         for lock in locks:
             lock.acquire()
@@ -924,7 +807,7 @@ class Cluster(MachineGroupView):
                 ] + tenant.retired_lanes
             self._del_tenant(tenant_id)
             if tenant.kind == "placed" and defragment:
-                self._defragment(reason="evict", extra_reports=final)
+                self._defragment(extra_reports=final)
             else:
                 self._close_epoch(extra_reports=final)
 
@@ -1027,12 +910,8 @@ class Cluster(MachineGroupView):
                     )
                 tenant_rec = self._require(tid)
                 record = tenant_rec.lanes[0]
-            generation = record.generation
-            backend, lock = record.backend, record.lock
             grow = False
-            with lock:
-                if record.generation != generation:
-                    continue  # defragged while waiting: rebind
+            with record.bound() as backend:
                 try:
                     result = op(backend)
                 except StoreOverflow:
@@ -1076,7 +955,7 @@ class Cluster(MachineGroupView):
             tenant = self._require(tenant_id)
             tenant.extra_groups += 1
             try:
-                self._defragment(reason="grow")
+                self._defragment()
             except Exception:
                 tenant.extra_groups -= 1
                 raise
@@ -1144,60 +1023,21 @@ class Cluster(MachineGroupView):
         backlog = engine.pending_rows(tenant_id)
         return backlog > self.autoscale_backlog_rows * len(tenant.lanes)
 
-    def _scale_target(self, tenant_id: str, engine) -> Optional[tuple]:
-        """Which tenant the next scaled lane should go to, or None.
-
-        The FFD policy scales the submitting tenant when its own queue
-        is deep.  The cost policy scales the *most cost-burdened*
-        eligible tenant — backlog rows weighted by the tenant's
-        calibrated per-query latency — so a short queue of heavy
-        batches outranks a long queue of cheap ones.  Caller holds the
-        admit lock.
-        """
-        if self.placement_policy != "cost":
-            if self._scale_eligible(tenant_id, engine):
-                return (tenant_id, "queue-depth")
-            return None
-        candidates = [
-            tid for tid in self._admit_order
-            if self._scale_eligible(tid, engine)
-        ]
-        if not candidates:
-            return None
-        model = self.traffic_cost_model()
-        if model is None:
-            return (tenant_id, "queue-depth") \
-                if tenant_id in candidates else (candidates[0], "queue-depth")
-
-        def burden(tid):
-            latency = (
-                model.predict_query_latency_ns(tid)
-                if tid in model.profiles else 0.0
-            )
-            return engine.pending_rows(tid) * latency
-
-        ranked = sorted(candidates, key=lambda tid: (-burden(tid), tid))
-        return (ranked[0], "cost-burden")
-
     def _maybe_scale_up(self, tenant_id: str) -> None:
         with self._admit_lock:
             engine = self._engine
-            if engine is None:
+            if engine is None or not self._scale_eligible(tenant_id, engine):
                 return
-            target = self._scale_target(tenant_id, engine)
-            if target is None:
-                return
-            target_id, reason = target
-            self._tenants[target_id].scaling = True
+            self._tenants[tenant_id].scaling = True
         worker = threading.Thread(
-            target=self._scale_up, args=(target_id, reason), daemon=True,
-            name=f"cluster-scale-{target_id}",
+            target=self._scale_up, args=(tenant_id,), daemon=True,
+            name=f"cluster-scale-{tenant_id}",
         )
         worker.start()
 
-    def _scale_up(self, tenant_id: str, reason: str = "queue-depth") -> None:
+    def _scale_up(self, tenant_id: str) -> None:
         try:
-            self._add_scaled_lane(tenant_id, reason=reason)
+            self._add_scaled_lane(tenant_id, reason="queue-depth")
         finally:
             with self._admit_lock:
                 tenant = self._tenants.get(tenant_id)
@@ -1207,21 +1047,16 @@ class Cluster(MachineGroupView):
     def _add_scaled_lane(self, tenant_id: str, reason: str) -> None:
         """Clone the tenant's primary session onto a private machine and
         attach it as a new serving lane."""
-        while True:
-            with self._admit_lock:
-                tenant = self._tenants.get(tenant_id)
-                if tenant is None:
-                    return
-                primary = tenant.lanes[0]
-            generation = primary.generation
-            # Under the primary lane's lock, so the clone copies a store
-            # no mutation is midway through; outside the control-plane
-            # lock, so admits/evicts/submits keep flowing meanwhile.
-            with primary.lock:
-                if primary.generation != generation:
-                    continue  # defragged while waiting: rebind
-                backend = primary.backend.clone()
-            break
+        with self._admit_lock:
+            tenant = self._tenants.get(tenant_id)
+            if tenant is None:
+                return
+            primary = tenant.lanes[0]
+        # Under the primary lane's lock, so the clone copies a store no
+        # mutation is midway through; outside the control-plane lock, so
+        # admits/evicts/submits keep flowing meanwhile.
+        with primary.bound() as source:
+            backend = source.clone()
         with self._admit_lock:
             tenant = self._tenants.get(tenant_id)
             if tenant is None or self._closed:
@@ -1394,7 +1229,6 @@ class Cluster(MachineGroupView):
                 "defrag_count": self.defrag_count,
                 "autoscale_events": list(self.autoscale_events),
                 "batches_run": self.batches_run,
-                "placement_policy": self.placement_policy,
             })
         return base
 

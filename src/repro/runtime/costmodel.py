@@ -1,18 +1,18 @@
 """Predictive placement cost model: score a packing before paying for it.
 
-Placement so far (PR 4/5) is pure bank-count first-fit-decreasing and
-the autoscaler a queue-depth threshold — both blind to *traffic*.  Two
-hot tenants packed onto one machine serialize
+First-fit-decreasing bank packing is blind to *traffic*.  Two hot
+tenants packed onto one machine serialize
 (:func:`~repro.simulator.metrics.combine_serial_reports`: the shared
 fabric serves one batch at a time), while two cold tenants on separate
 machines waste silicon.  This module is the missing judgement: a
 :class:`PlacementCost` model that predicts, per tenant, what a
 candidate packing will *cost* — latency, energy, interference — before
-any machine is programmed, so the packer
-(:func:`~repro.runtime.placement.plan_placement` with
-``policy="cost"``), the :class:`~repro.runtime.cluster.Cluster`
-re-pack and its cost-burdened autoscaler can all rank alternatives
-against one yardstick.
+any machine is programmed.  Handed to
+:func:`~repro.runtime.placement.plan_placement` as ``cost_model``, it
+makes the packer rank alternative layouts of the same fleet against
+one yardstick; the plan is made offline, before a fleet is built (the
+:class:`~repro.runtime.cluster.Cluster` itself packs by bank demand
+alone).
 
 The model is **calibrated**, not guessed.  A :class:`TenantProfile`
 carries a tenant's measured per-query latency/energy (from any
@@ -386,9 +386,8 @@ class PlacementCost:
     def burden_ns(self, tenant_id: str) -> float:
         """Offered work: ns of machine busy time per second of traffic.
 
-        The autoscaler's "most cost-burdened" signal and the packer's
-        heat metric — rate x service, so a rare heavy tenant and a
-        frequent light one compare honestly.
+        The packer's heat metric — rate x service, so a rare heavy
+        tenant and a frequent light one compare honestly.
         """
         return self.hint(tenant_id).rate_qps * self.request_latency_ns(
             tenant_id

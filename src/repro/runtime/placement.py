@@ -10,10 +10,13 @@ applications onto one shared runtime with honest per-app accounting:
 * **bank-granular placement** — each compiled tenant (a lowered store of
   N rows) demands ``banks_needed(plan.subarrays)`` whole banks;
   :func:`plan_placement` packs the tenants into the banks of a shared
-  machine fleet with first-fit-decreasing by bank count.  Over-packing
-  raises :class:`PlacementError` (a :class:`CapacityError`) naming the
-  tenant and its bank demand, with a per-tenant breakdown — never a
-  silent spill.
+  machine fleet with first-fit-decreasing by bank count, or — when the
+  caller hands it a calibrated
+  :class:`~repro.runtime.costmodel.PlacementCost` — by predicted
+  cost on the same number of machines.  Over-packing raises
+  :class:`PlacementError` (a :class:`CapacityError`) naming the tenant
+  and its bank demand, with a per-tenant breakdown — never a silent
+  spill.
 * **shared programming** — :class:`TenantProgram` carries one tenant's
   compiled artifacts; the :class:`~repro.runtime.cluster.Cluster`
   programs each tenant onto its planned banks of a shared machine
@@ -178,32 +181,31 @@ def plan_placement(
     demands: Sequence[TenantDemand],
     spec: ArchSpec,
     max_machines: Optional[int] = None,
-    policy: str = "ffd",
     cost_model=None,
 ) -> PlacementPlan:
     """Pack tenant bank demands onto a fleet of ``spec`` machines.
 
-    ``policy="ffd"`` (the default) is first-fit-decreasing by bank
-    count: tenants are considered from the largest demand down (ties
-    break on ``tenant_id``, so the plan is independent of submission
-    order) and each lands in the first machine with enough free banks;
-    a new machine opens when none fits, up to ``max_machines``
-    (``None`` grows the fleet on demand, mirroring ``banks=None``
-    machines growing banks on demand).  An unbounded spec
-    (``spec.banks is None``) places every tenant on one machine.
+    The packing is first-fit-decreasing by bank count: tenants are
+    considered from the largest demand down (ties break on
+    ``tenant_id``, so the plan is independent of submission order) and
+    each lands in the first machine with enough free banks; a new
+    machine opens when none fits, up to ``max_machines`` (``None``
+    grows the fleet on demand, mirroring ``banks=None`` machines
+    growing banks on demand).  An unbounded spec (``spec.banks is
+    None``) places every tenant on one machine.
 
-    ``policy="cost"`` packs for *speed*, not just fit: given a
-    calibrated :class:`~repro.runtime.costmodel.PlacementCost` (the
-    ``cost_model``), a greedy seed places tenants hottest-first at the
-    position of least predicted cost, then a local search improves the
-    packing with single-tenant moves and pairwise swaps — spreading hot
-    tenants across machines (co-residents serialize) and co-packing
-    cold ones.  The cost packer never uses more machines than FFD
-    would for the same demands: it reshuffles the same fleet for
-    latency, so the two policies always compare at equal silicon.
-    When the model is missing, covers only part of the tenant set, or
-    carries no traffic signal (:attr:`PlacementCost.has_traffic`),
-    the packer honestly falls back to FFD.
+    Handed a calibrated :class:`~repro.runtime.costmodel.PlacementCost`
+    (``cost_model``) that profiles every tenant and carries a traffic
+    signal (:attr:`PlacementCost.has_traffic`), the packer packs for
+    *speed*, not just fit: a greedy seed places tenants hottest-first
+    at the position of least predicted cost, then a local search
+    improves the packing with single-tenant moves and pairwise swaps —
+    spreading hot tenants across machines (co-residents serialize) and
+    co-packing cold ones.  It never uses more machines than
+    first-fit-decreasing would for the same demands: it reshuffles the
+    same fleet for latency, so the two layouts compare at equal
+    silicon.  Any other ``cost_model`` (``None`` included) leaves the
+    first-fit-decreasing plan.
 
     Raises :class:`PlacementError` — naming the offending tenant and its
     bank demand, with the full per-tenant breakdown — when a single
@@ -212,10 +214,6 @@ def plan_placement(
     """
     if not demands:
         raise ValueError("plan_placement needs at least one tenant demand")
-    if policy not in ("ffd", "cost"):
-        raise ValueError(
-            f"unknown placement policy {policy!r} (one of 'ffd', 'cost')"
-        )
     seen = set()
     for demand in demands:
         if demand.tenant_id in seen:
@@ -254,7 +252,7 @@ def plan_placement(
             )
 
     ffd_groups = _pack_ffd(demands, capacity, max_machines, spec)
-    if policy == "cost" and _cost_model_usable(cost_model, demands):
+    if _cost_model_usable(cost_model, demands):
         groups = _pack_cost(demands, capacity, cost_model, ffd_groups)
     else:
         groups = ffd_groups

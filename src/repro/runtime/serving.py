@@ -632,9 +632,9 @@ class ServingEngine:
         time_scale: float = 0.0,
         split: Optional[Callable] = None,
     ):
-        if max_batch < 1:
+        if not max_batch >= 1:
             raise ValueError("max_batch must be a positive row count")
-        if max_wait < 0:
+        if not max_wait >= 0:
             raise ValueError("max_wait must be >= 0 seconds")
         self.session = None
         backends: List = []

@@ -200,6 +200,9 @@ class QuerySession:
     tenant is charged exactly what it would be on a private machine.
     """
 
+    #: Tombstone density past which a delete compacts the store.
+    compact_threshold = 0.5
+
     def __init__(
         self,
         module,
@@ -211,7 +214,6 @@ class QuerySession:
         noise_sigma: float = 0.0,
         noise_seed: int = 0,
         machine: Optional[CamMachine] = None,
-        compact_threshold: float = 0.5,
         fused: bool = True,
     ):
         self._bind(
@@ -219,7 +221,7 @@ class QuerySession:
             noise_sigma, noise_seed, machine, fused,
         )
         self._program_machine()
-        self._init_mutable_store(compact_threshold)
+        self._init_mutable_store()
 
     def _bind(
         self, module, spec, tech, parameters, program, func_name,
@@ -277,7 +279,7 @@ class QuerySession:
         self._plan_stale = False
         self._touched_slots: set = set()
 
-    def _init_mutable_store(self, compact_threshold: float) -> None:
+    def _init_mutable_store(self) -> None:
         """Set up the slot directory over the freshly programmed tiles.
 
         Logical *slots* index rows across the session's row groups; each
@@ -287,7 +289,6 @@ class QuerySession:
         for a survivor equals its index in a store rebuilt from scratch.
         """
         plan = self.program.plan
-        self.compact_threshold = float(compact_threshold)
         #: When set, :meth:`run_batch` selects this many candidates
         #: instead of the compiled ``program.k`` — a
         #: :class:`~repro.runtime.sharding.ShardedSession` pins it to the
@@ -439,7 +440,7 @@ class QuerySession:
             None, self.fused,
         )
         replica._program_machine(self._programming)
-        replica._init_mutable_store(self.compact_threshold)
+        replica._init_mutable_store()
         return replica
 
     def clone(self, noise_seed=None) -> "QuerySession":

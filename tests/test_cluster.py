@@ -23,7 +23,6 @@ from repro.frontend import placeholder
 from repro.runtime import Cluster, ClusterShutdown
 from repro.runtime import serving as serving_mod
 from repro.runtime.backend import SessionError
-from repro.runtime.costmodel import TrafficHint
 from repro.runtime.placement import PlacementError
 from repro.runtime.serving import PriorityIntake
 
@@ -524,56 +523,12 @@ class TestAutoscaler:
         )
         assert cluster.tenant_lanes("t") == 2
 
-    def test_cost_policy_scales_most_burdened_tenant(self, dot_kernel,
-                                                     stores, rng):
-        """Under ``placement_policy="cost"`` the autoscaler picks its
-        target by cost burden (backlog x calibrated latency), and says
-        so in the event log."""
-        spec = replace(dse_spec(16), banks=2)
-        cluster = Cluster(
-            spec, max_batch=4, max_wait=0.0, time_scale=2e-7,
-            autoscale_max_lanes=3, autoscale_backlog_rows=8,
-            placement_policy="cost",
-            traffic_hints=[TrafficHint("t", rate_qps=50_000.0)],
-        )
-        cluster.admit(
-            compile_dot(dot_kernel, stores[0], spec=spec), tenant_id="t"
-        )
-        # Calibrate: a measured batch gives the tenant a real profile.
-        cluster.run_batch(
-            rng.standard_normal((4, 64)).astype(np.float32), tenant="t"
-        )
-        queries = rng.standard_normal((120, 64)).astype(np.float32)
-        futures = [cluster.submit(q, tenant="t") for q in queries]
-        for future in futures:
-            future.result(timeout=60)
-        # The scaled lane attaches from a worker thread (it programs a
-        # fresh machine), so the event can land after the queue drains.
-        deadline = time.monotonic() + 10
-        ups = []
-        while not ups and time.monotonic() < deadline:
-            ups = [
-                e for e in cluster.autoscale_events
-                if e["action"] == "scale-up"
-            ]
-            time.sleep(0.01)
-        assert ups, "queue pressure never scaled up"
-        assert all(e["reason"] == "cost-burden" for e in ups)
-        cluster.shutdown()
-
 
 # --------------------------------------------------------------------------
-# Cost-model placement plans and the serving trace
+# The serving trace
 # --------------------------------------------------------------------------
-class TestCostPlacementAndPlans:
+class TestServingTrace:
     SPEC = replace(dse_spec(16), banks=2)
-
-    HINTS = [
-        TrafficHint("t0", rate_qps=40_000.0, batch_rows=4),
-        TrafficHint("t1", rate_qps=40_000.0, batch_rows=4),
-        TrafficHint("t2", rate_qps=10.0),
-        TrafficHint("t3", rate_qps=10.0),
-    ]
 
     def _stores(self, rng):
         return {
@@ -587,84 +542,6 @@ class TestCostPlacementAndPlans:
                 compile_dot(dot_kernel, stored, spec=self.SPEC),
                 tenant_id=tid,
             )
-
-    def test_cost_admission_separates_hot_tenants(self, dot_kernel, rng):
-        """Four 1-bank tenants on 2-bank machines: FFD co-packs the hot
-        pair (submission order); the cost policy pays the same two
-        machines but never leaves both hot tenants on one."""
-        stores = self._stores(rng)
-        layouts = {}
-        for policy in ("ffd", "cost"):
-            cluster = Cluster(
-                self.SPEC, placement_policy=policy,
-                traffic_hints=self.HINTS,
-            )
-            # Admit the first three, serve measured traffic so the
-            # model is calibrated, then let t3's admission re-pack.
-            for tid in ("t0", "t1", "t2"):
-                cluster.admit(
-                    compile_dot(dot_kernel, stores[tid], spec=self.SPEC),
-                    tenant_id=tid,
-                )
-            for tid in ("t0", "t1", "t2"):
-                cluster.run_batch(
-                    rng.standard_normal((4, 64)).astype(np.float32),
-                    tenant=tid,
-                )
-            cluster.admit(
-                compile_dot(dot_kernel, stores["t3"], spec=self.SPEC),
-                tenant_id="t3",
-            )
-            layouts[policy] = cluster.bank_spans()
-            assert cluster.stats()["placement_policy"] == policy
-            cluster.shutdown()
-        machines_used = {
-            policy: len({span[0] for span in layout.values()})
-            for policy, layout in layouts.items()
-        }
-        assert machines_used["cost"] == machines_used["ffd"] == 2
-        assert layouts["ffd"]["t0"][0] == layouts["ffd"]["t1"][0]
-        assert layouts["cost"]["t0"][0] != layouts["cost"]["t1"][0]
-
-    def test_results_bitwise_under_cost_policy(self, dot_kernel, rng):
-        stores = self._stores(rng)
-        solo = {}
-        queries = {
-            tid: rng.standard_normal((3, 64)).astype(np.float32)
-            for tid in stores
-        }
-        for tid, stored in stores.items():
-            kernel = compile_dot(dot_kernel, stored, spec=self.SPEC)
-            solo[tid] = kernel.run_batch(queries[tid])
-        with Cluster(
-            self.SPEC, placement_policy="cost", traffic_hints=self.HINTS,
-        ) as cluster:
-            self._admit_all(cluster, dot_kernel, stores)
-            for tid in stores:
-                values, indices = cluster.run_batch(
-                    queries[tid], tenant=tid
-                )
-                np.testing.assert_array_equal(values, solo[tid][0])
-                np.testing.assert_array_equal(indices, solo[tid][1])
-
-    def test_set_traffic_hints_feeds_cost_model(self, dot_kernel, rng):
-        stores = self._stores(rng)
-        with Cluster(self.SPEC) as cluster:
-            self._admit_all(cluster, dot_kernel, stores)
-            for tid in stores:
-                cluster.run_batch(
-                    rng.standard_normal((2, 64)).astype(np.float32),
-                    tenant=tid,
-                )
-            cluster.set_traffic_hints([TrafficHint("t0", rate_qps=123.0)])
-            model = cluster.traffic_cost_model()
-            assert model is not None
-            assert model.hint("t0").rate_qps == 123.0
-            # Unhinted tenants default to their observed volume.
-            assert model.hint("t1").rate_qps > 0
-            assert model.calibration_error(
-                "t0", cluster.tenant_report("t0")
-            ) < 0.5
 
     def test_trace_summary_delegates_to_engine(self, dot_kernel, rng):
         stores = self._stores(rng)

@@ -824,7 +824,7 @@ def _walked_clone(source, noise_seed):
         source.module, source.spec, source.tech, source.parameters,
         source.program, func_name=source.func_name,
         noise_sigma=source.noise_sigma, noise_seed=noise_seed,
-        compact_threshold=source.compact_threshold, fused=source.fused,
+        fused=source.fused,
     )
     if mutated:
         walked.restore(source.store_state())

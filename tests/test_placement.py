@@ -165,9 +165,10 @@ def _hot_cold_cost_model(tenant_ids, hot):
 
 
 class TestCostPolicy:
-    """``policy="cost"`` packs for predicted latency, never for more
-    machines than FFD, and falls back to FFD when it has nothing to
-    optimize for — deterministically regardless of submission order."""
+    """Handed a cost model, the packer packs for predicted latency,
+    never for more machines than FFD, and falls back to FFD when it has
+    nothing to optimize for — deterministically regardless of
+    submission order."""
 
     SPEC = replace(dse_spec(16), banks=4)
 
@@ -177,9 +178,9 @@ class TestCostPolicy:
     def test_cost_spreads_hot_tenants_at_equal_fleet(self):
         ids = ["hot1", "hot2", "cold1", "cold2"]
         model = _hot_cold_cost_model(ids, hot={"hot1", "hot2"})
-        ffd = plan_placement(self._demands(ids), self.SPEC, policy="ffd")
+        ffd = plan_placement(self._demands(ids), self.SPEC)
         cost = plan_placement(
-            self._demands(ids), self.SPEC, policy="cost", cost_model=model
+            self._demands(ids), self.SPEC, cost_model=model
         )
         # Equal demands: FFD co-packs hot1+hot2 in submission order.
         assert (
@@ -202,9 +203,7 @@ class TestCostPolicy:
         ids = ["hot1", "hot2", "cold1", "cold2"]
         model = _hot_cold_cost_model(ids, hot={"hot1", "hot2"})
         kwargs = {"cost_model": model} if policy == "cost" else {}
-        baseline = plan_placement(
-            self._demands(ids), self.SPEC, policy=policy, **kwargs
-        )
+        baseline = plan_placement(self._demands(ids), self.SPEC, **kwargs)
         layout = {
             a.tenant_id: (a.machine_index, a.bank_offset, a.banks)
             for a in baseline.assignments
@@ -215,7 +214,7 @@ class TestCostPolicy:
             ["cold1", "cold2", "hot1", "hot2"],
         ):
             shuffled = plan_placement(
-                self._demands(order), self.SPEC, policy=policy, **kwargs
+                self._demands(order), self.SPEC, **kwargs
             )
             assert {
                 a.tenant_id: (a.machine_index, a.bank_offset, a.banks)
@@ -232,21 +231,17 @@ class TestCostPolicy:
             for tid in ids
         ])
         assert not silent.has_traffic
-        ffd = plan_placement(self._demands(ids), self.SPEC, policy="ffd")
+        ffd = plan_placement(self._demands(ids), self.SPEC)
         cost = plan_placement(
-            self._demands(ids), self.SPEC, policy="cost", cost_model=silent
+            self._demands(ids), self.SPEC, cost_model=silent
         )
         assert cost.assignments == ffd.assignments
 
     def test_cost_without_model_matches_ffd(self):
         ids = ["a", "b", "c"]
-        ffd = plan_placement(self._demands(ids), self.SPEC, policy="ffd")
-        cost = plan_placement(self._demands(ids), self.SPEC, policy="cost")
+        ffd = plan_placement(self._demands(ids), self.SPEC)
+        cost = plan_placement(self._demands(ids), self.SPEC, cost_model=None)
         assert cost.assignments == ffd.assignments
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError, match="policy"):
-            plan_placement(self._demands(["a"]), self.SPEC, policy="magic")
 
     def test_cost_never_exceeds_ffd_fleet(self):
         """The cost packer optimizes *within* the FFD machine budget so
@@ -256,11 +251,10 @@ class TestCostPolicy:
         for cap in (None, 3):
             ffd = plan_placement(
                 self._demands(ids), self.SPEC, max_machines=cap,
-                policy="ffd",
             )
             cost = plan_placement(
                 self._demands(ids), self.SPEC, max_machines=cap,
-                policy="cost", cost_model=model,
+                cost_model=model,
             )
             assert cost.num_machines <= ffd.num_machines
 

@@ -299,6 +299,20 @@ class TestServingEngine:
             with pytest.raises(ValueError, match="1-D"):
                 engine.submit(np.ones((0, 64)))
 
+    @pytest.mark.parametrize("option, value", [
+        ("max_batch", 0), ("max_batch", -1), ("max_batch", float("nan")),
+        ("max_wait", -1.0), ("max_wait", float("nan")),
+    ])
+    def test_invalid_batching_bound_rejected(self, option, value):
+        """A NaN passes a ``<`` check: with ``max_wait`` NaN a lane
+        never closes its batch, and a NaN ``max_batch`` lifts the cap."""
+        class Echo:
+            def run_batch(self, queries):
+                return queries
+
+        with pytest.raises(ValueError, match=option):
+            ServingEngine([Echo()], **{option: value})
+
     def test_backend_failure_delivered_to_futures(self):
         class Exploding:
             def run_batch(self, queries):

@@ -10,7 +10,7 @@ from .datasets import (
 )
 from .hdc import HDCEncoder, HDCModel, train_hdc
 from .knn import KNNModel, build_knn
-from .matching import MatchResult, PatternMatcher, ShardedPatternMatcher
+from .matching import MatchResult, PatternMatcher
 from .pool import TenantPool
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "KNNModel",
     "MatchResult",
     "PatternMatcher",
-    "ShardedPatternMatcher",
     "TenantPool",
     "build_knn",
     "pad_features",

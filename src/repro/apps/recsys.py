@@ -145,4 +145,4 @@ class RecSysPipeline:
         rank_banks = 0
         if self._rank_kernel is not None and self._rank_kernel.last_report:
             rank_banks = self._rank_kernel.last_report.banks_used
-        return self.matcher.machine.banks_used, rank_banks
+        return self.matcher.store.banks_used, rank_banks

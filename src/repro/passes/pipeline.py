@@ -24,10 +24,10 @@ def _registry() -> Dict[str, Callable]:
     from repro.transforms.cim_fusion import CimFuseOpsPass
     from repro.transforms.cim_to_cam import CimToCamPass
     from repro.transforms.cim_to_loops import CimToLoopsPass
+    from repro.transforms.optimizations import resolve_optimization
     from repro.transforms.partitioning import CimPartitionPass
     from repro.transforms.similarity_matching import SimilarityMatchingPass
     from repro.transforms.torch_to_cim import TorchToCimPass
-    from repro.transforms.optimizations import resolve_optimization
 
     def needs_arch(factory):
         factory.needs_arch = True

@@ -49,11 +49,12 @@ class LaneStats:
     """Serialized totals of one backend's traffic (its "lane").
 
     The accumulation shape shared by replica lanes (one per copy in a
-    :class:`~repro.runtime.serving.ReplicatedSession`) and cluster
-    lanes (one per tenant replica in a
-    :class:`~repro.runtime.cluster.Cluster`): query work folds in per
-    batch, the one-time setup baseline is charged once via the
-    backend's ``setup_report()``.
+    :class:`~repro.runtime.serving.ReplicatedSession`), cluster lanes
+    (one per tenant replica in a
+    :class:`~repro.runtime.cluster.Cluster`) and a
+    :class:`~repro.apps.matching.PatternMatcher`'s lookups: query work
+    folds in per batch, the one-time setup baseline is charged once via
+    the backend's ``setup_report()``.
 
     ``charge_setup=False`` starts a lane whose backend *survived* an
     accounting-epoch boundary without re-programming (a cluster

@@ -71,6 +71,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
+import math
 import threading
 import time
 from collections import deque
@@ -569,7 +570,7 @@ def _rowaligned_view(arrays: List[np.ndarray]) -> Optional[np.ndarray]:
     )
 
 
-def _default_split(result, lo: int, hi: int):
+def _split_rows(result, lo: int, hi: int):
     """Slice a ``run_batch``-shaped result (arrays over the batch dim)."""
     if isinstance(result, np.ndarray):
         return result[lo:hi]
@@ -577,7 +578,8 @@ def _default_split(result, lo: int, hi: int):
         return type(result)(part[lo:hi] for part in result)
     raise TypeError(
         f"cannot split a {type(result).__name__} result across requests; "
-        "pass an explicit split= function to the ServingEngine"
+        "run_batch must return an array or a list/tuple of arrays over "
+        "the batch rows"
     )
 
 
@@ -595,10 +597,9 @@ class ServingEngine:
     ``session`` is what to serve on: a :class:`ReplicatedSession` (the
     usual case), a bare ``QuerySession``/``ShardedSession`` (wrapped
     into a single-replica deployment), or an explicit list of replica
-    backends — any objects with ``run_batch(queries)`` (used by
-    :meth:`repro.apps.matching.PatternMatcher.serve`, whose results are
-    per-query lists rather than stacked arrays; such backends pass a
-    matching ``split``).
+    backends — any objects whose ``run_batch(queries)`` returns an
+    array, or a list/tuple of arrays, over the batch rows (the tests'
+    stub backends).  Each request's future resolves to its rows' slice.
 
     Two kinds of thread cooperate:
 
@@ -630,12 +631,16 @@ class ServingEngine:
         max_batch: int = 32,
         max_wait: float = 0.002,
         time_scale: float = 0.0,
-        split: Optional[Callable] = None,
     ):
         if not max_batch >= 1:
             raise ValueError("max_batch must be a positive row count")
         if not max_wait >= 0:
             raise ValueError("max_wait must be >= 0 seconds")
+        if not 0.0 <= time_scale < math.inf:
+            raise ValueError(
+                "time_scale must be a finite number of wall seconds per "
+                "simulated ns, >= 0"
+            )
         self.session = None
         backends: List = []
         #: Per-tenant query widths when a control plane serves several
@@ -657,7 +662,6 @@ class ServingEngine:
         self.max_batch = max_batch
         self.max_wait = max_wait
         self.time_scale = time_scale
-        self._split = split or _default_split
 
         # Feature width every request must share (requests coalesce).
         # Seeded from the backend when it knows; otherwise the first
@@ -977,7 +981,7 @@ class ServingEngine:
             offset = 0
             for request in batch:
                 request.t_serve_end = served
-                piece = self._split(result, offset, offset + request.rows)
+                piece = _split_rows(result, offset, offset + request.rows)
                 offset += request.rows
                 self._resolve(request.future.set_result, piece)
                 request.t_done = time.perf_counter()

@@ -202,6 +202,8 @@ class QuerySession:
 
     #: Tombstone density past which a delete compacts the store.
     compact_threshold = 0.5
+    #: Machines holding the store (a ShardedSession counts its shards).
+    num_shards = 1
 
     def __init__(
         self,
@@ -291,9 +293,10 @@ class QuerySession:
         plan = self.program.plan
         #: When set, :meth:`run_batch` selects this many candidates
         #: instead of the compiled ``program.k`` — a
-        #: :class:`~repro.runtime.sharding.ShardedSession` pins it to the
-        #: *global* k so a shard that grew past its compiled row count
-        #: still surfaces enough candidates for the merge.
+        #: :class:`~repro.runtime.sharding.ShardedSession` hands every
+        #: shard its own ``serve_k`` (the *global* k) so a shard that
+        #: grew past its compiled row count still surfaces enough
+        #: candidates for the merge.
         self.serve_k: Optional[int] = None
         self.mutations = 0
         self.compactions = 0

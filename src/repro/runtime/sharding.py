@@ -358,18 +358,15 @@ class ShardedSession(MachineGroupView):
         store's id directory."""
         shard_set = self.shard_set
         self.sessions = sessions
-        self.k = shard_set.k
+        #: Candidates each batch selects: the kernel's global k unless
+        #: the caller sets it; :meth:`run_batch` hands it to every shard.
+        self.serve_k = shard_set.k
         # Post-legalisation sort direction — identical across shards by
         # construction (same spec, same pipeline).
         self.largest = shard_set.shards[0].program.largest
         self.last_report: Optional[ExecutionReport] = None
         self.batches_run = 0
         # ---- mutable-store directory: global id -> (shard, local id).
-        # A shard that grew past its compiled row count must still
-        # surface enough candidates for the global merge, so each
-        # session serves the *global* k.
-        for session in self.sessions:
-            session.serve_k = self.k
         self._gid_map: Dict[int, Tuple[int, int]] = {
             shard.row_offset + local: (si, local)
             for si, shard in enumerate(shard_set.shards)
@@ -575,7 +572,6 @@ class ShardedSession(MachineGroupView):
             noise_seed=self._noise_seq.spawn(1)[0],
             fused=self.fused,
         )
-        session.serve_k = self.k
         self.sessions.append(session)
         return len(self.sessions) - 1, 0
 
@@ -665,6 +661,10 @@ class ShardedSession(MachineGroupView):
         stable tie-break as the single-machine top-k peripheral.
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        # Every shard selects the global k: a shard that grew past its
+        # compiled row count must still surface enough candidates.
+        for session in self.sessions:
+            session.serve_k = self.serve_k
         outputs = [session.run_batch(queries) for session in self.sessions]
         n_queries = queries.shape[0]
         # Candidates concatenate in row-offset order, so the stable
@@ -690,7 +690,7 @@ class ShardedSession(MachineGroupView):
         # clamp (when the tech models one) applies once here — the
         # candidate-set winner is the global winner, since every shard
         # keeps its own best.
-        k = min(self.k, values.shape[1])
+        k = min(self.serve_k, values.shape[1])
         selection, top_values = best_match_batch(
             values, k, prefers_larger=self.largest,
             wta_window=self.tech.wta_window,

@@ -34,9 +34,11 @@ class CapacityError(RuntimeError):
     """The stored-pattern matrix does not fit one machine.
 
     Raised wherever a kernel would overflow a bank-capped machine —
-    at lowering (``cim-to-cam``), at shard planning, and when building a
-    :class:`~repro.apps.matching.PatternMatcher` — instead of failing
-    deep inside allocation or silently truncating the store.  Carries
+    when it is compiled for one machine, at lowering (``cim-to-cam``)
+    and at shard planning, so also when a
+    :class:`~repro.apps.matching.PatternMatcher` compiles its rules —
+    instead of failing deep inside allocation or silently truncating
+    the store.  Carries
     ``required_rows`` and ``available_rows`` so callers can size a shard
     set; the hint in the message points at ``num_shards``
     (:meth:`repro.compiler.C4CAMCompiler.compile`) which splits the rows

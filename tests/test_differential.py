@@ -26,6 +26,7 @@ import pytest
 from repro.arch import dse_spec, paper_spec
 from repro.compiler import C4CAMCompiler
 from repro.frontend import placeholder
+from repro.simulator.cells import DONT_CARE
 
 
 def _dot_model(stored, k):
@@ -472,12 +473,12 @@ def test_fused_matches_unfused_oracle_all_paths(seed):
     features = stored.shape[1]
     example = [placeholder((1, features))]
 
-    def pair(**kwargs):
+    def pair(store=stored, **kwargs):
         fused = C4CAMCompiler(spec).compile(
-            _dot_model(stored, k), example, **kwargs
+            _dot_model(store, k), example, **kwargs
         )
         oracle = C4CAMCompiler(spec).compile(
-            _dot_model(stored, k), example, fused=False, **kwargs
+            _dot_model(store, k), example, fused=False, **kwargs
         )
         return fused, oracle
 
@@ -526,6 +527,23 @@ def test_fused_matches_unfused_oracle_all_paths(seed):
     assert _report_tuple(mf.last_report) == _report_tuple(mo.last_report)
     assert mf.fused and not mo.fused
     assert mf._tenants["t0"].lanes[0].backend.fused_runs == 1
+
+    # 5. a TCAM store with don't-care (NaN) cells, on one machine and
+    #    sharded: the fused plan's exact Hamming rewrite masks them out.
+    #    Drawn last, so each seed's case above is unchanged.
+    wild = rng.choice([0.0, 1.0], stored.shape)
+    wild[rng.random(stored.shape) < 0.2] = DONT_CARE
+    bits = rng.choice([0.0, 1.0], queries.shape)
+    for shards in (1, num_shards):
+        kf, ko = pair(wild.astype(np.float32), num_shards=shards)
+        rf, ro = kf.run_batch(bits), ko.run_batch(bits)
+        np.testing.assert_array_equal(rf[0], ro[0])
+        np.testing.assert_array_equal(rf[1], ro[1])
+        assert _report_tuple(kf.session().last_report) == _report_tuple(
+            ko.session().last_report
+        )
+        if shards == 1:
+            assert kf.session()._fused_plan.exact is not None
 
 
 def test_fused_cluster_matches_unfused_oracle():

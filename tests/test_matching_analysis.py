@@ -1,6 +1,8 @@
 """Tests for the pattern-matching app, analysis utilities, area model,
 pipeline spec parsing and the CLI driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,15 +74,6 @@ class TestPatternMatcher:
         with pytest.raises(ValueError):
             matcher.lookup(np.zeros(32))
 
-    def test_served_query_width_validated_at_submit(self):
-        """The serving engine knows the rule width before any request,
-        so even the first misfit is refused at submit()."""
-        matcher = self.make(np.zeros((4, 64)))
-        with matcher.serve() as engine:
-            with pytest.raises(ValueError, match="width"):
-                engine.submit(np.zeros(32))
-            assert engine.submit(np.zeros(64)).result(timeout=30)
-
     def test_report_accumulates(self):
         matcher = self.make(np.zeros((4, 32)))
         matcher.lookup(np.zeros(32))
@@ -89,6 +82,100 @@ class TestPatternMatcher:
         assert rep.queries == 2
         assert rep.query_latency_ns > 0
         assert rep.energy.query_total > 0
+
+
+def _hamming_reference(rules, queries, threshold):
+    """Per query, the ids (ascending) and distances of the live rules
+    within ``threshold``; a don't-care cell never mismatches."""
+    ids = np.array(sorted(rules), dtype=np.int64)
+    stored = np.array([rules[i] for i in ids])
+    out = []
+    for query in queries:
+        dist = ((stored != query) & ~np.isnan(stored)).sum(axis=1)
+        hit = dist <= threshold
+        out.append((ids[hit], dist[hit].astype(np.float64)))
+    return out
+
+
+class TestMatcherMutation:
+    """Rules inserted, deleted and updated through ``matcher.store``:
+    every lookup equals a NumPy Hamming scan of the surviving rules."""
+
+    WIDTH = 32
+
+    def _rules(self, rng, count):
+        rules = rng.choice([0.0, 1.0], (count, self.WIDTH))
+        rules[rng.random(rules.shape) < 0.15] = DONT_CARE
+        return rules
+
+    def _mutate(self, rng, store, rules):
+        """One random insert (twice as likely, so the store grows),
+        delete or update, mirrored into ``rules``."""
+        op = int(rng.integers(0, 4))
+        ids = sorted(rules)
+        if op <= 1 or len(ids) < 3:
+            new = self._rules(rng, int(rng.integers(1, 4)))
+            rules.update(zip(store.insert(new), new))
+        elif op == 2:
+            doomed = rng.choice(ids, size=2, replace=False).tolist()
+            store.delete(doomed)
+            for pid in doomed:
+                del rules[pid]
+        else:
+            pid, row = int(rng.choice(ids)), self._rules(rng, 1)[0]
+            store.update(pid, row)
+            rules[pid] = row
+
+    def _check(self, rng, matcher, rules):
+        live = np.array([rules[i] for i in sorted(rules)])
+        # Near-copies of live rules (don't-cares set, one column
+        # cleared) plus one random query.
+        queries = live[rng.integers(0, len(live), 3)]
+        queries = np.where(np.isnan(queries), 1.0, queries)
+        queries[:, int(rng.integers(0, self.WIDTH))] = 0.0
+        queries = np.vstack([queries, rng.choice([0.0, 1.0], self.WIDTH)])
+        threshold = float(rng.choice([0.0, 1.0, 4.0, 12.0]))
+        got = matcher.lookup_batch(queries, threshold)
+        want = _hamming_reference(rules, queries, threshold)
+        for result, (ids, dist) in zip(got, want):
+            np.testing.assert_array_equal(result.indices, ids)
+            np.testing.assert_array_equal(result.distances, dist)
+        assert matcher.store.pattern_count == len(rules)
+
+    def test_one_machine_grows(self):
+        rng = np.random.default_rng(4100)
+        patterns = self._rules(rng, 10)
+        matcher = PatternMatcher(patterns, paper_spec(rows=8, cols=16))
+        rules = dict(enumerate(patterns))
+        for _ in range(30):
+            self._mutate(rng, matcher.store, rules)
+            self._check(rng, matcher, rules)
+        assert matcher.store.growth_groups > 0
+        assert matcher.report().queries == 30 * 4
+
+    def test_capped_shards_split(self):
+        rng = np.random.default_rng(4200)
+        # One 32-wide row group of 8 rules per bank and two banks per
+        # machine: a shard grows one bank past its compiled rows, which
+        # only the group's serve_k lets it rank, then the next insert
+        # splits a new shard off.
+        spec = replace(
+            paper_spec(rows=8, cols=16), banks=2, mats_per_bank=1,
+            arrays_per_mat=1, subarrays_per_array=2,
+        )
+        patterns = self._rules(rng, 12)
+        matcher = PatternMatcher(patterns, spec, num_shards=2)
+        rules = dict(enumerate(patterns))
+        for _ in range(30):
+            self._mutate(rng, matcher.store, rules)
+            self._check(rng, matcher, rules)
+        assert matcher.num_shards > 2
+
+    def test_non_hamming_cam_refused(self):
+        for cam_type, bits in (("mcam", 2), ("acam", 3)):
+            spec = paper_spec(cam_type=cam_type, bits_per_cell=bits)
+            with pytest.raises(ValueError, match="tcam"):
+                PatternMatcher(np.zeros((2, 32)), spec)
 
 
 class TestAnalysis:

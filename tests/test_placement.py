@@ -238,10 +238,23 @@ class TestCostPolicy:
         assert cost.assignments == ffd.assignments
 
     def test_cost_without_model_matches_ffd(self):
-        ids = ["a", "b", "c"]
+        """A model with traffic that profiles only part of the tenant
+        set cannot price a packing: the plan is FFD's."""
+        ids = ["hot1", "hot2", "cold1", "cold2"]
+        hot = {"hot1", "hot2"}
+        partial = _hot_cold_cost_model(["hot1", "hot2"], hot=hot)
+        assert partial.has_traffic
         ffd = plan_placement(self._demands(ids), self.SPEC)
-        cost = plan_placement(self._demands(ids), self.SPEC, cost_model=None)
+        cost = plan_placement(
+            self._demands(ids), self.SPEC, cost_model=partial
+        )
         assert cost.assignments == ffd.assignments
+        # Profiling every tenant would have split the hot pair.
+        full = plan_placement(
+            self._demands(ids), self.SPEC,
+            cost_model=_hot_cold_cost_model(ids, hot=hot),
+        )
+        assert full.assignments != ffd.assignments
 
     def test_cost_never_exceeds_ffd_fleet(self):
         """The cost packer optimizes *within* the FFD machine budget so

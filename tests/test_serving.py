@@ -302,10 +302,14 @@ class TestServingEngine:
     @pytest.mark.parametrize("option, value", [
         ("max_batch", 0), ("max_batch", -1), ("max_batch", float("nan")),
         ("max_wait", -1.0), ("max_wait", float("nan")),
+        ("time_scale", float("nan")), ("time_scale", float("inf")),
+        ("time_scale", -1.0),
     ])
     def test_invalid_batching_bound_rejected(self, option, value):
         """A NaN passes a ``<`` check: with ``max_wait`` NaN a lane
-        never closes its batch, and a NaN ``max_batch`` lifts the cap."""
+        never closes its batch, a NaN ``max_batch`` lifts the cap, and a
+        NaN ``time_scale`` silently turns pacing off (an infinite one
+        makes the pacing sleep raise)."""
         class Echo:
             def run_batch(self, queries):
                 return queries
@@ -330,11 +334,11 @@ class TestServingEngine:
 
     def test_unsplittable_result_delivered_not_stranded(self):
         """A result the splitter cannot slice must fail the batch's
-        futures (with the advice to pass split=), not kill the worker
-        and strand every later future on that lane."""
+        futures (naming what ``run_batch`` must return), not kill the
+        worker and strand every later future on that lane."""
         class DictResult:
             def run_batch(self, queries):
-                return {"values": queries}  # _default_split can't slice
+                return {"values": queries}  # _split_rows can't slice
 
         with ServingEngine([DictResult()], max_batch=2) as engine:
             first = engine.submit(np.ones(4))

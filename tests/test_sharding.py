@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.apps import PatternMatcher, ShardedPatternMatcher
+from repro.apps import PatternMatcher
 from repro.arch import dse_spec, paper_spec
 from repro.arch.technology import FEFET_45NM
 from repro.compiler import C4CAMCompiler
@@ -516,7 +516,7 @@ class TestShardedPatternMatcher:
         queries = np.vstack([patterns[7], patterns[33], rng.choice([0.0, 1.0], 64)])
         spec = dse_spec(16)
         single = PatternMatcher(patterns, spec)
-        sharded = ShardedPatternMatcher(patterns, spec, num_shards=3)
+        sharded = PatternMatcher(patterns, spec, num_shards=3)
         assert sharded.num_shards == 3
         for threshold in (0.0, 3.0):
             expected = single.lookup_batch(queries, threshold)
@@ -529,7 +529,7 @@ class TestShardedPatternMatcher:
     def test_auto_shards_past_capacity(self, rng):
         patterns = rng.choice([0.0, 1.0], (80, 1024))
         capped = replace(dse_spec(16), banks=1)
-        sharded = ShardedPatternMatcher(patterns, capped)
+        sharded = PatternMatcher(patterns, capped, num_shards=None)
         assert sharded.num_shards >= 2
         result = sharded.lookup(patterns[63], threshold=0.0)
         assert 63 in result.indices
@@ -541,11 +541,11 @@ class TestShardedPatternMatcher:
     def test_report_aggregates(self, rng):
         patterns = rng.choice([0.0, 1.0], (48, 64))
         spec = dse_spec(16)
-        sharded = ShardedPatternMatcher(patterns, spec, num_shards=2)
+        sharded = PatternMatcher(patterns, spec, num_shards=2)
         queries = rng.choice([0.0, 1.0], (5, 64))
         sharded.lookup_batch(queries, threshold=2.0)
         report = sharded.report()
-        shard_reports = [m.report() for m in sharded.shards]
+        shard_reports = [m.report() for m in sharded.store.sessions]
         assert report.queries == 5
         assert report.banks_used == sum(r.banks_used for r in shard_reports)
         assert report.query_latency_ns > max(

@@ -229,6 +229,10 @@ class CompiledKernel:
         self.noise_seed = noise_seed
         self.query_programs = list(query_programs)
         self.cache_session = cache_session
+        #: The compiled row layout (``None`` unsharded) that every opened
+        #: session, ``reset()``'s included, starts from.  An insert that
+        #: splits a shard changes the open session's layout, not this
+        #: one; :attr:`num_shards` reads the live count.
         self.shard_set = shard_set
         self.num_replicas = num_replicas
         #: Serve batches through the traced FusedPlan fast path (the
@@ -247,7 +251,11 @@ class CompiledKernel:
 
     @property
     def num_shards(self) -> int:
-        """Machines serving this kernel (1 unless compiled sharded)."""
+        """Machines holding the store: the open session's count, which
+        grows when an insert splits a shard, else the compiled layout's
+        (1 unless compiled sharded)."""
+        if self._session is not None:
+            return self._session.num_shards
         return self.shard_set.num_shards if self.shard_set else 1
 
     @property

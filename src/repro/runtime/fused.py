@@ -22,11 +22,26 @@ per-stage Python dispatch:
   live-slot set, the top-k configuration;
 * **execute** — :meth:`FusedPlan.execute` scores a whole ``B×D`` batch
   against every slot with one
-  :func:`~repro.simulator.cells.compute_scores` call per column slice,
+  :func:`~repro.simulator.cells.store_scorer` per column slice,
   gathers the live slots, applies the charge schedule (scalar
   multiply-adds into the live machine counters), and selects the
   per-query top-k directly through
   :func:`~repro.simulator.peripherals.best_match_batch`.
+
+**Multi-core scoring.**  A generic-path batch (one that the exact
+rewrite does not take) large enough that every share carries at least
+:data:`_SPLIT_TERMS` per-cell terms is cut into near-equal contiguous
+row shares, one per CPU the process may use, two at most
+(:data:`_CPUS`).  Each slice's store is prepared once per batch, so a
+share costs only its own rows.  The caller scores the first share; each
+other share goes to an idle thread of a process-wide pool, or stays
+with the caller when none is idle (or when the interpreter is exiting
+and the pool takes no new work), so a batch never waits behind another
+session's share.  Every share writes its own rows of one score matrix,
+and the gather, charges, top-k and trace record run on the caller after
+the join.  Every metric scores each query row on its own, through the
+same per-slice float order, so a split batch is bitwise the unsplit
+one.
 
 **Bitwise-identity guarantee.**  A fused run returns the same
 ``[values, indices]`` bit for bit as the unfused session walk, and its
@@ -56,11 +71,18 @@ slot directory (defensive: never serve rows the hardware would not).
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.simulator.cells import METRIC_FUNCTIONS, compute_scores
+from repro.simulator.cells import (
+    BLOCK_ELEMENTS,
+    METRIC_FUNCTIONS,
+    store_scorer,
+)
 from repro.simulator.peripherals import best_match_batch
 
 __all__ = ["FusedPlan", "build_fused_plan"]
@@ -74,6 +96,64 @@ __all__ = ["FusedPlan", "build_fused_plan"]
 _EXACT_MAX = float(1 << 20)
 _EXACT_MAX_FEATURES = 1 << 12
 _EXACT_METRICS = ("hamming", "euclidean", "dot")
+
+#: The most row shares a generic batch is cut into: one per CPU this
+#: process may run on, but at most two, the most the split has been
+#: measured on (every further share adds a thread wake-up and more
+#: hand-offs of the GIL, which more CPUs need not repay).
+_CPUS = min(2, (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+))
+#: Per-cell terms (rows × slots × features) each row share must carry:
+#: 64 scoring blocks, about four milliseconds of generic scoring on a
+#: 2-CPU Xeon host.  A split pays a pool thread's wake-up and the GIL
+#: hand-offs between the two threads' NumPy calls; on that host, shares
+#: of 16 or 32 blocks at times lost to the unsplit batch while a
+#: knn-sized one won, and shares of 64 did not.
+_SPLIT_TERMS = 64 * BLOCK_ELEMENTS
+#: ``(executor, idle)``: the scoring pool of ``_CPUS - 1`` threads and
+#: a semaphore counting its idle ones, made on the first split.  One
+#: pool serves every plan in the process, so however many sessions score
+#: at once, splitting adds at most ``_CPUS - 1`` threads.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _scoring_pool():
+    """The process-wide scoring pool, made on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = (
+                ThreadPoolExecutor(
+                    _CPUS - 1, thread_name_prefix="fused-scoring"
+                ),
+                threading.Semaphore(_CPUS - 1),
+            )
+        return _pool
+
+
+def _forget_pool() -> None:
+    """Fork handler: a forked child inherits the pool object but none of
+    its threads, so a share handed to it would never run."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pool_share(plan, scorers, queries, out, idle) -> None:
+    """Pool task: score one row share, then mark its thread idle —
+    before the future's result is set, so that the caller's next batch
+    already finds the thread free."""
+    try:
+        plan._score_rows(scorers, queries, out)
+    finally:
+        idle.release()
 
 
 class FusedPlan:
@@ -378,29 +458,10 @@ class FusedPlan:
         n_queries = queries.shape[0]
         n_alive = self.n_alive
         # --- score every slot: exact matmul rewrite when the batch
-        #     qualifies, else one vectorized metric call per slice ------
+        #     qualifies, else the per-slice loop in row shares ----------
         scores = self._exact_scores(queries) if self.exact else None
         if scores is None:
-            scores = np.zeros((n_queries, self.capacity), dtype=np.float64)
-            metric = self.metric
-            if self.stacked:
-                # Two-level accumulation mirrors the machine: each
-                # subarray's digital accumulator sums its own pattern
-                # batches first, then partials merge across subarrays.
-                for sub_slices in self.slices:
-                    partial = np.zeros(
-                        (n_queries, self.capacity), dtype=np.float64
-                    )
-                    for c0, c1, store in sub_slices:
-                        partial += compute_scores(
-                            metric, store, queries[:, c0:c1]
-                        )
-                    scores += partial
-            else:
-                for c0, c1, store in self.slices:
-                    scores += compute_scores(
-                        metric, store, queries[:, c0:c1]
-                    )
+            scores = self._generic_scores(queries)
         # --- gather: the live slots, in slot (== id) order -------------
         if self.live is not None:
             scores = scores[:, self.live]
@@ -430,6 +491,65 @@ class FusedPlan:
             f"queries={n_queries} rows={n_alive} k={k}",
         )
         return values, indices, scores
+
+    def _generic_scores(self, queries: np.ndarray) -> np.ndarray:
+        """Score every slot through the per-slice loop, the batch cut
+        into row shares when it is large enough (see the module notes).
+        """
+        n_queries = queries.shape[0]
+        scores = np.zeros((n_queries, self.capacity), dtype=np.float64)
+        scorers = [
+            [(c0, c1, store_scorer(self.metric, store))
+             for c0, c1, store in group]
+            for group in (self.slices if self.stacked else [self.slices])
+        ]
+        shares = min(
+            _CPUS, n_queries,
+            n_queries * self.capacity * self.features // _SPLIT_TERMS,
+        )
+        if shares <= 1:
+            self._score_rows(scorers, queries, scores)
+            return scores
+        bounds = [n_queries * i // shares for i in range(shares + 1)]
+        executor, idle = _scoring_pool()
+        handed, mine = [], [(0, bounds[1])]
+        for r0, r1 in zip(bounds[1:-1], bounds[2:]):
+            if idle.acquire(blocking=False):
+                try:
+                    handed.append(executor.submit(
+                        _pool_share, self, scorers, queries[r0:r1],
+                        scores[r0:r1], idle,
+                    ))
+                    continue
+                except RuntimeError:
+                    # The interpreter is exiting: its pools take no new
+                    # work, so the caller scores the share.
+                    idle.release()
+            mine.append((r0, r1))
+        for r0, r1 in mine:
+            self._score_rows(scorers, queries[r0:r1], scores[r0:r1])
+        for share in handed:
+            share.result()
+        return scores
+
+    def _score_rows(
+        self, scorers, queries: np.ndarray, out: np.ndarray
+    ) -> None:
+        """Add the per-slice scores of ``queries`` into ``out``, their
+        zeroed rows of the batch's score matrix.  ``scorers`` groups the
+        :attr:`slices`, each store prepared by
+        :func:`~repro.simulator.cells.store_scorer`: one group per
+        subarray when density-stacked, else a single group."""
+        # Two-level accumulation mirrors the machine: each stacked
+        # subarray's digital accumulator sums its own pattern batches
+        # first, then partials merge across subarrays.  A single
+        # group's partial is never -0.0 (it starts at +0.0), so adding
+        # it to the zeroed rows keeps every bit.
+        for group in scorers:
+            partial = np.zeros_like(out)
+            for c0, c1, score in group:
+                partial += score(queries[:, c0:c1])
+            out += partial
 
     def _exact_scores(self, queries: np.ndarray):
         """Score every slot via the exact-arithmetic rewrite, or ``None``.

@@ -151,6 +151,11 @@ class ReplicatedSession(MachineGroupView):
         return len(self.replicas)
 
     @property
+    def num_shards(self) -> int:
+        """Machines per replica: every copy holds the same layout."""
+        return self.replicas[0].num_shards
+
+    @property
     def machines(self) -> List:
         """Every physical machine across all replicas (shards included)."""
         out = []

@@ -385,6 +385,7 @@ class ShardedSession(MachineGroupView):
 
     @property
     def num_shards(self) -> int:
+        """Shard machines now, splits included."""
         return len(self.sessions)
 
     @property

@@ -119,19 +119,64 @@ def _product_terms(stored, q, _keep, out):
     return np.multiply(stored, q, out=out)
 
 
+def _hamming_scorer(stored: np.ndarray):
+    stored = np.asarray(stored)
+    # ``x == x`` is False exactly at NaN, the don't-care marker.
+    valid = stored == stored
+
+    def score(query):
+        counts = _row_sums(
+            _mismatch_terms, stored, np.asarray(query), valid, np.bool_
+        )
+        return counts.astype(np.float64)
+
+    return score
+
+
+def _euclidean_scorer(stored: np.ndarray):
+    stored = np.asarray(stored, dtype=np.float64)
+    # ANDing a float64's bits with -1 (all ones) keeps it and with 0
+    # makes it +0.0: ``np.where(dont_care, 0.0, diff)`` bit for bit,
+    # without a masked (branchy, several times slower) loop.
+    keep = _valid_cells(stored)
+    if keep is not None:
+        keep = keep.astype(np.int64)
+        np.negative(keep, out=keep)
+
+    def score(query):
+        return _row_sums(
+            _euclidean_terms, stored, np.asarray(query, dtype=np.float64),
+            keep, np.float64,
+        )
+
+    return score
+
+
+def _dot_scorer(stored: np.ndarray):
+    stored = np.asarray(stored, dtype=np.float64)
+    valid = _valid_cells(stored)
+    if valid is not None:
+        stored = np.where(valid, stored, 0.0)
+
+    def score(query):
+        # Multiply + pairwise row sum (not BLAS matmul) so batched and
+        # single-query scores reduce in the same order — bitwise
+        # identical.
+        return _row_sums(
+            _product_terms, stored, np.asarray(query, dtype=np.float64),
+            None, np.float64,
+        )
+
+    return score
+
+
 def hamming_distance(stored: np.ndarray, query: np.ndarray) -> np.ndarray:
     """Per-row count of mismatching cells (don't-cares never mismatch).
 
     ``stored`` is ``R×C`` integer codes, ``query`` is length-``C`` or a
     ``B×C`` batch.  Returns a length-``R`` vector (``B×R`` for batches).
     """
-    stored = np.asarray(stored)
-    # ``x == x`` is False exactly at NaN, the don't-care marker.
-    counts = _row_sums(
-        _mismatch_terms, stored, np.asarray(query),
-        stored == stored, np.bool_,
-    )
-    return counts.astype(np.float64)
+    return _hamming_scorer(stored)(query)
 
 
 def euclidean_sq_distance(stored: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -141,18 +186,7 @@ def euclidean_sq_distance(stored: np.ndarray, query: np.ndarray) -> np.ndarray:
     unbounded range matches any query value).  ``query`` may be a batch
     (``B×C`` → ``B×R`` scores).
     """
-    stored = np.asarray(stored, dtype=np.float64)
-    # ANDing a float64's bits with -1 (all ones) keeps it and with 0
-    # makes it +0.0: ``np.where(dont_care, 0.0, diff)`` bit for bit,
-    # without a masked (branchy, several times slower) loop.
-    keep = _valid_cells(stored)
-    if keep is not None:
-        keep = keep.astype(np.int64)
-        np.negative(keep, out=keep)
-    return _row_sums(
-        _euclidean_terms, stored, np.asarray(query, dtype=np.float64),
-        keep, np.float64,
-    )
+    return _euclidean_scorer(stored)(query)
 
 
 def dot_similarity(stored: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -161,24 +195,33 @@ def dot_similarity(stored: np.ndarray, query: np.ndarray) -> np.ndarray:
     Don't-care cells contribute nothing to the sum.  ``query`` may be a
     batch (``B×C`` → ``B×R`` scores).
     """
-    stored = np.asarray(stored, dtype=np.float64)
-    valid = _valid_cells(stored)
-    if valid is not None:
-        stored = np.where(valid, stored, 0.0)
-    # Multiply + pairwise row sum (not BLAS matmul) so batched and
-    # single-query scores reduce in the same order — bitwise identical.
-    return _row_sums(
-        _product_terms, stored, np.asarray(query, dtype=np.float64),
-        None, np.float64,
-    )
+    return _dot_scorer(stored)(query)
 
 
-#: metric name -> (function, True when larger score means better match)
+#: metric name -> (scorer factory, True when larger score means better
+#: match); see :func:`store_scorer`.
 METRIC_FUNCTIONS = {
-    "hamming": (hamming_distance, False),
-    "euclidean": (euclidean_sq_distance, False),
-    "dot": (dot_similarity, True),
+    "hamming": (_hamming_scorer, False),
+    "euclidean": (_euclidean_scorer, False),
+    "dot": (_dot_scorer, True),
 }
+
+
+def store_scorer(metric: str, stored: np.ndarray):
+    """``compute_scores(metric, stored, ·)``, with the work that depends
+    on ``stored`` alone — its don't-care mask, and for ``dot`` the store
+    with those cells zeroed — done once, here.
+
+    The returned function scores a query or a batch against ``stored``
+    bitwise as :func:`compute_scores` does.  The fused plan prepares
+    each column slice once per batch and scores the batch's row shares
+    against it, so a share costs only its own rows.
+    """
+    try:
+        scorer, _ = METRIC_FUNCTIONS[metric]
+    except KeyError:
+        raise ValueError(f"unknown CAM metric: {metric!r}") from None
+    return scorer(stored)
 
 
 def compute_scores(metric: str, stored: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -186,20 +229,16 @@ def compute_scores(metric: str, stored: np.ndarray, query: np.ndarray) -> np.nda
 
     ``query`` may be a single query (``C`` → ``R`` scores) or a batch
     (``B×C`` → ``B×R``).  This is the one scoring kernel: the fused
-    plan's generic loop, the unfused session walk, the noise path and
-    ``Subarray.search`` all call it.  A batch larger than one
-    :data:`BLOCK_ELEMENTS` block is scored block by block, each block
-    computed in place in one scratch buffer allocated per call; a
-    smaller one, a single query included, in one step.  Scores are
-    bitwise identical to the textbook broadcast formulas
-    (``((s - q)**2).sum(-1)``, ``(s * q).sum(-1)``, ``(s != q).sum(-1)``
-    with don't-care cells zeroed).
+    plan's generic loop (through :func:`store_scorer`), the unfused
+    session walk, the noise path and ``Subarray.search`` all call it.
+    A batch larger than one :data:`BLOCK_ELEMENTS` block is scored
+    block by block, each block computed in place in one scratch buffer
+    allocated per call; a smaller one, a single query included, in one
+    step.  Scores are bitwise identical to the textbook broadcast
+    formulas (``((s - q)**2).sum(-1)``, ``(s * q).sum(-1)``,
+    ``(s != q).sum(-1)`` with don't-care cells zeroed).
     """
-    try:
-        fn, _ = METRIC_FUNCTIONS[metric]
-    except KeyError:
-        raise ValueError(f"unknown CAM metric: {metric!r}") from None
-    return fn(stored, query)
+    return store_scorer(metric, stored)(query)
 
 
 def metric_prefers_larger(metric: str) -> bool:

@@ -57,3 +57,33 @@ def euclidean_kernel():
         return EuclideanKNN()
 
     return make
+
+
+#: CPUs the ``split_batches`` fixture pretends the process may use.
+SPLIT_CPUS = 4
+
+
+@pytest.fixture()
+def split_batches(monkeypatch):
+    """Split every generic-path fused batch of two or more rows into up
+    to :data:`SPLIT_CPUS` row shares, on a fresh scoring pool.
+    :mod:`repro.runtime.fused` itself splits only batches of about four
+    milliseconds of scoring per share, and into two shares at most;
+    four shares also put more than one thread in the pool.  Yields the
+    row count of every share scored, in the order they started."""
+    from repro.runtime import fused
+
+    monkeypatch.setattr(fused, "_CPUS", SPLIT_CPUS)
+    monkeypatch.setattr(fused, "_SPLIT_TERMS", 1)
+    monkeypatch.setattr(fused, "_pool", None)
+    seen = []
+    score_rows = fused.FusedPlan._score_rows
+
+    def recording(plan, scorers, queries, out):
+        seen.append(len(queries))
+        score_rows(plan, scorers, queries, out)
+
+    monkeypatch.setattr(fused.FusedPlan, "_score_rows", recording)
+    yield seen
+    if fused._pool is not None:
+        fused._pool[0].shutdown()

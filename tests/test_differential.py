@@ -546,6 +546,88 @@ def test_fused_matches_unfused_oracle_all_paths(seed):
             assert kf.session()._fused_plan.exact is not None
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_fused_split_matches_unfused_oracle_all_paths(split_batches, seed):
+    """The differential above with every generic-path batch of two or
+    more rows scored in row shares on the fused side."""
+    test_fused_matches_unfused_oracle_all_paths(seed)
+
+
+def _generic_stores(rng, euclidean_kernel):
+    """``(name, model, spec, num_shards, 9 queries)`` for each kind of
+    store the fused plan scores through its generic per-slice loop."""
+    acam = paper_spec(rows=16, cols=16, cam_type="acam")
+    wild = rng.standard_normal((40, 48))
+    wild[rng.random(wild.shape) < 0.2] = DONT_CARE
+    gaussian = rng.standard_normal((40, 48)).astype(np.float32)
+    bipolar = rng.choice([-1.0, 1.0], (40, 64)).astype(np.float32)
+    queries = rng.standard_normal((9, 48))
+    return [
+        ("euclidean_dont_care",
+         euclidean_kernel(wild.astype(np.float32), k=3), acam, 1, queries),
+        ("dot", _dot_model(gaussian, 3), acam, 1, queries),
+        # ±1 rows on a binary CAM, queried off the ±1 alphabet: the
+        # exact Hamming rewrite refuses the batch.
+        ("binary_off_alphabet", _dot_model(bipolar, 3),
+         paper_spec(rows=16, cols=32), 1, rng.standard_normal((9, 64))),
+        # 8 rows stack twice per 16-row subarray: three column tiles on
+        # two subarrays, the second holding one.
+        ("density_stacked", _dot_model(gaussian[:8], 3),
+         replace(dse_spec(16, "density"), cam_type="acam"), 1, queries),
+        ("two_shards", _dot_model(gaussian, 3), acam, 2, queries),
+    ]
+
+
+@pytest.mark.parametrize("rows, shares", [
+    (0, [0]), (1, [1]),
+    (3, [1, 1, 1]),                # fewer rows than the 4 CPUs
+    (7, [1, 2, 2, 2]), (9, [2, 2, 2, 3]),  # ragged shares
+])
+def test_fused_split_matches_unfused_oracle(
+    split_batches, euclidean_kernel, rows, shares
+):
+    """Every kind of generic-path store, with the batch cut into
+    ``shares`` (``split_batches`` pretends 4 CPUs): the split fused run
+    is bitwise the unfused walk in results, every session's
+    ``last_values`` and every report."""
+    rng = np.random.default_rng(23)
+    for name, model, spec, num_shards, queries in _generic_stores(
+        rng, euclidean_kernel
+    ):
+        example = [placeholder((1, queries.shape[1]))]
+        kf, ko = (
+            C4CAMCompiler(spec).compile(
+                model, example, fused=fused, num_shards=num_shards
+            )
+            for fused in (True, False)
+        )
+        batch = queries[:rows]
+        del split_batches[:]
+        rf, ro = kf.run_batch(batch), ko.run_batch(batch)
+        np.testing.assert_array_equal(rf[0], ro[0], err_msg=name)
+        np.testing.assert_array_equal(rf[1], ro[1], err_msg=name)
+        sessions = [
+            getattr(kernel.session(), "sessions", [kernel.session()])
+            for kernel in (kf, ko)
+        ]
+        for sf, so in zip(*sessions):
+            assert sf.fused_runs == 1, name
+            np.testing.assert_array_equal(sf.last_values, so.last_values)
+            assert _report_tuple(sf.last_report) == _report_tuple(
+                so.last_report
+            ), name
+        assert _report_tuple(kf.last_report) == _report_tuple(
+            ko.last_report
+        ), name
+        # An empty batch lies inside any alphabet: the exact rewrite
+        # takes it.
+        exact = name == "binary_off_alphabet" and rows == 0
+        want = [] if exact else shares * num_shards
+        assert sorted(split_batches) == sorted(want), name
+        if name == "density_stacked":
+            assert kf.session()._fused_plan.stacked
+
+
 def test_fused_cluster_matches_unfused_oracle():
     """A cluster admitted with fused=False is the oracle for the default
     fused control plane, across placed and sharded tenants."""

@@ -255,16 +255,24 @@ def test_all_tombstone_then_refill(seed):
 # --------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_sharded_matches_rebuilt(seed):
+@pytest.mark.parametrize(
+    "seed, wide_k",
+    [(seed, False) for seed in range(40)]
+    + [(seed, True) for seed in range(20)],
+    ids=[str(seed) for seed in range(40)]
+    + [f"wide_k-{seed}" for seed in range(20)],
+)
+def test_sharded_matches_rebuilt(seed, wide_k):
     """Mutated shard group == freshly sharded survivors.  The spec caps
     banks, so insert-heavy schedules overflow the tail shard and split
     — the rebuilt oracle auto-shards, proving results are independent of
-    the shard layout the mutations happened to produce."""
+    the shard layout the mutations happened to produce.  ``wide_k``
+    draws a ``k`` above a shard's compiled row count, which each shard
+    only ranks when the group hands it the group's ``serve_k``."""
     rng = np.random.default_rng(50_000 + seed)
     spec = _spec(banks=2)
     n0 = int(rng.integers(6, 10))
-    k = int(rng.integers(1, 4))
+    k = int(rng.integers(4, n0) if wide_k else rng.integers(1, 4))
     stored = _rows(rng, n0)
     session = _make_sharded(stored, k, spec, num_shards=2)
     live = {i: stored[i] for i in range(n0)}

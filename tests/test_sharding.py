@@ -236,6 +236,24 @@ class TestAutoShard:
         assert kernel.num_shards == 1
         assert kernel.shard_set is None
 
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_num_shards_follows_splits(self, dot_kernel, rng, replicas):
+        """Inserts that split a shard raise the kernel's count with its
+        session's; ``reset()`` goes back to the compiled layout."""
+        spec = replace(paper_spec(rows=8, cols=8, cam_type="acam"), banks=2)
+        stored = rng.standard_normal((8, 8)).astype(np.float32)
+        kernel = compile_dot(dot_kernel, stored, (1, 8), k=2, spec=spec,
+                             num_shards=2, num_replicas=replicas)
+        assert kernel.num_shards == 2
+        for _ in range(20):
+            kernel.insert(rng.standard_normal((1, 8)).astype(np.float32))
+        assert kernel.session().num_shards == 4
+        assert kernel.num_shards == 4
+        assert kernel.shard_set.num_shards == 2   # the compiled layout
+        kernel.reset()
+        assert kernel.num_shards == 2
+        assert kernel.session().num_shards == 2
+
     def test_noise_reproducible_and_decorrelated(self, dot_kernel, rng):
         stored = rng.choice([-1.0, 1.0], (20, 64)).astype(np.float32)
         queries = rng.choice([-1.0, 1.0], (4, 64)).astype(np.float32)

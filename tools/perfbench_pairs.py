@@ -15,6 +15,10 @@ environment the numbers were measured in: CPU model and count, Python,
 NumPy, and the BLAS vendor, version and thread count (read with the
 BLAS pin ``perfbench/run.py`` sets).  Metric directions come from the
 change checkout's ``BENCHMARK.json``.  Nothing is written to disk.
+
+The last line of stdout is the whole summary as one JSON object (see
+:func:`record`), the form the ``BENCH_<workload>.json`` records at the
+repository root keep.
 """
 
 from __future__ import annotations
@@ -66,7 +70,8 @@ for path in sorted(libs):
 print(json.dumps({
     "python": platform.python_version(),
     "numpy": np.__version__,
-    "blas": f"{blas.get('name', 'unknown')} {blas.get('version', '')}",
+    "blas_vendor": blas.get("name", "unknown"),
+    "blas_version": blas.get("version", "unknown"),
     "blas_threads": threads,
 }))
 """
@@ -130,10 +135,45 @@ def cpu_model() -> str:
 
 
 def probe_environment() -> dict:
+    """The CPU model, the CPUs the runs may use, and the Python, NumPy
+    and BLAS they run with."""
     env = dict(os.environ, **BLAS_PIN)
     out = subprocess.run([sys.executable, "-c", ENV_PROBE], env=env,
                          capture_output=True, text=True, check=True)
-    return json.loads(out.stdout)
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count())
+    return {"cpu": cpu_model(), "cpus": cpus, **json.loads(out.stdout)}
+
+
+def record(args, env: dict, sides: Dict[str, List[dict]],
+           rows: List[dict]) -> dict:
+    """The summary as one JSON-ready object: the run arguments, each
+    metric's :func:`summarize` row (keyed by metric), each side's failed
+    and attempted operations and wrong runs, and the environment.
+
+    With fewer than two pairs the parent has no spread to compare a
+    change against, so ``separated`` is ``None`` there: a zero spread
+    would separate any change, noise included.
+    """
+    spread = args.pairs >= 2
+    return {
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": args.pairs,
+        "trace": args.trace,
+        "metrics": {row["metric"]: {
+            key: value if spread or key != "separated" else None
+            for key, value in row.items() if key != "metric"
+        } for row in rows},
+        "operations": {
+            side: {"failed": sum(r["failed"] for r in results),
+                   "attempted": sum(r["attempted"] for r in results),
+                   "wrong_runs": sum(not r["correct"] for r in results)}
+            for side, results in sides.items()
+        },
+        "env": env,
+    }
 
 
 def run_once(checkout: Path, args) -> dict:
@@ -173,8 +213,9 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     better = directions(args.change)
     env = probe_environment()
-    print(f"env: {cpu_model()}, {os.cpu_count()} cpus, python "
-          f"{env['python']}, numpy {env['numpy']}, BLAS {env['blas']} "
+    print(f"env: {env['cpu']}, {env['cpus']} cpus, python "
+          f"{env['python']}, numpy {env['numpy']}, BLAS "
+          f"{env['blas_vendor']} {env['blas_version']} "
           f"with {env['blas_threads']} thread(s)")
     print(f"{args.workload}: {args.pairs} pairs of {args.seconds:g} s, "
           f"seed {args.seed}, trace {args.trace}")
@@ -188,24 +229,24 @@ def main(argv=None) -> int:
             print(f"  pair {pair} {side}: correct={result['correct']} "
                   f"failed {result['failed']}/{result['attempted']}",
                   flush=True)
-    for side, results in sides.items():
-        failed = sum(r["failed"] for r in results)
-        attempted = sum(r["attempted"] for r in results)
-        wrong = sum(not r["correct"] for r in results)
-        print(f"{side}: {failed} failed of {attempted} attempted, "
-              f"{wrong} run(s) with wrong outputs")
     metrics = {side: [{name: entry["value"]
                        for name, entry in r["metrics"].items()}
                       for r in results]
                for side, results in sides.items()}
+    rows = summarize(metrics["parent"], metrics["change"], better)
+    summary = record(args, env, sides, rows)
+    for side, ops in summary["operations"].items():
+        print(f"{side}: {ops['failed']} failed of {ops['attempted']} "
+              f"attempted, {ops['wrong_runs']} run(s) with wrong outputs")
     print(f"{'metric':28} {'parent q1/med/q3':>30} "
           f"{'change q1/med/q3':>30} {'W-L-T':>8}  separated")
-    for row in summarize(metrics["parent"], metrics["change"], better):
+    for name, row in summary["metrics"].items():
         fmt = "/".join(f"{v:.4g}" for v in row["parent"])
         cfmt = "/".join(f"{v:.4g}" for v in row["change"])
         wlt = f"{row['wins']}-{row['losses']}-{row['ties']}"
-        print(f"{row['metric']:28} {fmt:>30} {cfmt:>30} {wlt:>8}  "
-              f"{'yes' if row['separated'] else 'no'}")
+        separated = {None: "n/a", True: "yes", False: "no"}[row["separated"]]
+        print(f"{name:28} {fmt:>30} {cfmt:>30} {wlt:>8}  {separated}")
+    print(json.dumps(summary))
     return 0
 
 

@@ -28,6 +28,7 @@ from repro.compiler import C4CAMCompiler, build_pipeline
 from repro.frontend import placeholder
 from repro.ir.printer import print_module
 from repro.passes.pass_manager import PassError
+from repro.passes.pipeline import PipelineError, build_pipeline_from_spec
 from repro.simulator.analysis import format_report
 from repro.transforms import CapacityError
 
@@ -452,10 +453,11 @@ def main(argv=None) -> int:
         return True
 
     if args.pipeline:
-        from repro.passes.pipeline import build_pipeline_from_spec
-
+        try:
+            pm = build_pipeline_from_spec(args.pipeline, spec)
+        except PipelineError as exc:
+            parser.error(f"--pipeline: {exc}")
         module, _params = compiler.import_torchscript(model, example)
-        pm = build_pipeline_from_spec(args.pipeline, spec)
         if not run_pipeline(pm, module):
             return 1
         print(print_module(module))

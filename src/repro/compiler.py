@@ -66,13 +66,11 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-import repro.dialects  # noqa: F401  (registers all dialects)
 from repro.arch.spec import ArchSpec
 from repro.arch.technology import FEFET_45NM, TechnologyModel
 from repro.dialects import cim as cim_d
 from repro.frontend import import_graph, trace
 from repro.frontend.torch_api import Graph, Tensor
-from repro.ir.context import load_all_dialects
 from repro.ir.module import ModuleOp
 from repro.ir.printer import print_module
 from repro.ir.value import BlockArgument
@@ -101,8 +99,6 @@ from repro.transforms import (
     plan_of,
     resolve_optimization,
 )
-
-load_all_dialects()
 
 
 def build_pipeline(spec: ArchSpec, lower_to_cam: bool = True) -> PassManager:
@@ -242,7 +238,6 @@ class CompiledKernel:
         self.last_report: Optional[ExecutionReport] = None
         self.last_machine: Optional[CamMachine] = None
         self._session: Optional[QuerySession] = None
-        self._initial_state = None   # store snapshot at first open
         self._program_serves_function: Optional[bool] = None
         # Device noise decorrelates across calls: every execution draws a
         # fresh child seed from one deterministic SeedSequence, so equal
@@ -336,34 +331,14 @@ class CompiledKernel:
             return self._open_session()
         if self._session is None:
             self._session = self._open_session()
-            if hasattr(self._session, "store_state"):
-                self._initial_state = self._session.store_state()
         return self._session
 
-    def reset(self, reprogram: bool = True) -> None:
-        """Return the kernel to its compiled state.
-
-        ``reprogram=True`` (default) drops the cached session: the next
-        call re-allocates and re-programs a fresh machine (and restarts
-        the noise sequence) — the full re-deployment.
-
-        ``reprogram=False`` keeps the live machine and instead *restores*
-        the compiled store through the incremental mutation path: only
-        rows that actually differ from the compiled parameters are
-        rewritten, so resetting an unchanged store charges **zero**
-        additional row writes (where the old path re-charged the full
-        programming pass).  Query-side state and accounting clear either
-        way.  Requires a cached, mutation-capable session; falls back to
-        the full re-program when there is nothing to restore.
-        """
-        if not reprogram and self._session is not None \
-                and self._initial_state is not None:
-            self._session.restore(self._initial_state)
-            self._session.reset()
-            self.last_report = None
-            return
+    def reset(self) -> None:
+        """Return the kernel to its compiled state: drop the cached
+        session, so the next call allocates and programs a fresh machine
+        from the compiled layout (shards an insert split are gone too)
+        and restarts the noise sequence."""
         self._session = None
-        self._initial_state = None
         self.last_report = None
         self.last_machine = None
         self._noise_seq = np.random.SeedSequence(self.noise_seed)

@@ -9,8 +9,7 @@
   (acquire/execute/release + compute ops + similarity + merge_partial).
 * :mod:`repro.dialects.cam` — the CAM device abstraction
   (alloc_bank/mat/array/subarray, write_value, search, read, merges).
+
+Each op is a :class:`~repro.ir.operation.Operation` subclass; import the
+dialect module whose ops you build.
 """
-
-from repro.ir.context import load_all_dialects
-
-__all__ = ["load_all_dialects"]

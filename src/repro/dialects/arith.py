@@ -10,12 +10,11 @@ from __future__ import annotations
 from typing import Union
 
 from repro.ir.attributes import FloatAttr, IntegerAttr, StringAttr
-from repro.ir.operation import Operation, register_op
+from repro.ir.operation import Operation
 from repro.ir.types import FloatType, IndexType, IntegerType, Type, f32, i1, index
 from repro.ir.value import Value
 
 
-@register_op
 class ConstantOp(Operation):
     """An integer, index or float constant.
 
@@ -57,57 +56,46 @@ class _BinaryOp(Operation):
             raise ValueError(f"{self.name}: expects two operands, one result")
 
 
-@register_op
 class AddIOp(_BinaryOp):
     OP_NAME = "arith.addi"
 
 
-@register_op
 class SubIOp(_BinaryOp):
     OP_NAME = "arith.subi"
 
 
-@register_op
 class MulIOp(_BinaryOp):
     OP_NAME = "arith.muli"
 
 
-@register_op
 class DivSIOp(_BinaryOp):
     OP_NAME = "arith.divsi"
 
 
-@register_op
 class RemSIOp(_BinaryOp):
     OP_NAME = "arith.remsi"
 
 
-@register_op
 class MinSIOp(_BinaryOp):
     OP_NAME = "arith.minsi"
 
 
-@register_op
 class AddFOp(_BinaryOp):
     OP_NAME = "arith.addf"
 
 
-@register_op
 class SubFOp(_BinaryOp):
     OP_NAME = "arith.subf"
 
 
-@register_op
 class MulFOp(_BinaryOp):
     OP_NAME = "arith.mulf"
 
 
-@register_op
 class DivFOp(_BinaryOp):
     OP_NAME = "arith.divf"
 
 
-@register_op
 class SqrtOp(Operation):
     """Elementwise square root (stand-in for ``math.sqrt``)."""
 
@@ -117,7 +105,6 @@ class SqrtOp(Operation):
         super().__init__(operands=[operand], result_types=[operand.type])
 
 
-@register_op
 class CmpIOp(Operation):
     """Integer comparison; ``predicate`` is one of eq/ne/slt/sle/sgt/sge."""
 
@@ -138,7 +125,6 @@ class CmpIOp(Operation):
         return self.attributes["predicate"].value
 
 
-@register_op
 class SelectOp(Operation):
     """``result = condition ? true_value : false_value``."""
 
@@ -153,7 +139,6 @@ class SelectOp(Operation):
         )
 
 
-@register_op
 class IndexCastOp(Operation):
     """Cast between ``index`` and integer types."""
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 
 from repro.ir.attributes import BoolAttr, FloatAttr, IntegerAttr, StringAttr
-from repro.ir.operation import Operation, register_op
+from repro.ir.operation import Operation
 from repro.ir.types import CamIdType, MemRefType, Type, i64
 from repro.ir.value import Value
 
@@ -29,7 +29,6 @@ SEARCH_METRICS = ("hamming", "euclidean", "dot")
 MERGE_LEVELS = ("subarray", "array", "mat", "bank", "system")
 
 
-@register_op
 class AllocBankOp(Operation):
     """Allocate a CAM bank sized for ``rows × cols`` subarrays."""
 
@@ -42,7 +41,6 @@ class AllocBankOp(Operation):
         )
 
 
-@register_op
 class AllocMatOp(Operation):
     """Allocate a mat within a bank."""
 
@@ -57,7 +55,6 @@ class AllocMatOp(Operation):
             raise ValueError("cam.alloc_mat expects a bank id")
 
 
-@register_op
 class AllocArrayOp(Operation):
     """Allocate a CAM array within a mat."""
 
@@ -72,7 +69,6 @@ class AllocArrayOp(Operation):
             raise ValueError("cam.alloc_array expects a mat id")
 
 
-@register_op
 class AllocSubarrayOp(Operation):
     """Allocate a subarray (the smallest independently-searchable block)."""
 
@@ -87,7 +83,6 @@ class AllocSubarrayOp(Operation):
             raise ValueError("cam.alloc_subarray expects an array id")
 
 
-@register_op
 class SubarrayRefOp(Operation):
     """Address the ``index``-th allocated subarray of the machine.
 
@@ -102,7 +97,6 @@ class SubarrayRefOp(Operation):
         super().__init__(operands=[index], result_types=[CamIdType("subarray")])
 
 
-@register_op
 class QueryStartOp(Operation):
     """Start of one query: clears accumulators, charges front-end setup."""
 
@@ -113,7 +107,6 @@ class QueryStartOp(Operation):
         super().__init__()
 
 
-@register_op
 class SyncOp(Operation):
     """A reduction-network hop at one hierarchy level.
 
@@ -140,7 +133,6 @@ class SyncOp(Operation):
         return self.attributes["rows"].value
 
 
-@register_op
 class WriteValueOp(Operation):
     """Program stored patterns into a subarray.
 
@@ -177,7 +169,6 @@ class WriteValueOp(Operation):
             raise ValueError("cam.write_value data must be a memref")
 
 
-@register_op
 class SearchOp(Operation):
     """Search a query against a subarray.
 
@@ -255,7 +246,6 @@ class SearchOp(Operation):
             raise ValueError("cam.search query must be a memref")
 
 
-@register_op
 class ReadOp(Operation):
     """Read the result of the last search on a subarray.
 
@@ -285,7 +275,6 @@ class ReadOp(Operation):
         return self.attributes["rows"].value
 
 
-@register_op
 class MergePartialOp(Operation):
     """Accumulate a partial score buffer into an accumulator buffer.
 
@@ -343,7 +332,6 @@ class MergePartialOp(Operation):
         return self.attributes["row_offset"].value
 
 
-@register_op
 class SelectTopkOp(Operation):
     """Final top-k selection over a merged score buffer (host peripheral).
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 from repro.ir.attributes import BoolAttr, IntegerAttr, StringAttr
 from repro.ir.block import Block
-from repro.ir.operation import Operation, register_op
+from repro.ir.operation import Operation
 from repro.ir.types import DeviceHandleType, TensorType, Type, i64
 from repro.ir.value import Value
 
@@ -30,7 +30,6 @@ SIMILARITY_METRICS = ("dot", "euclidean", "cosine")
 MERGE_DIRECTIONS = ("horizontal", "vertical")
 
 
-@register_op
 class AcquireOp(Operation):
     """Allocate a CIM accelerator; returns an opaque device handle."""
 
@@ -41,7 +40,6 @@ class AcquireOp(Operation):
         super().__init__(result_types=[DeviceHandleType()])
 
 
-@register_op
 class ReleaseOp(Operation):
     """Release a device handle obtained from ``cim.acquire``."""
 
@@ -58,7 +56,6 @@ class ReleaseOp(Operation):
             raise ValueError("cim.release expects a single device handle")
 
 
-@register_op
 class ExecuteOp(Operation):
     """A block of operations executed on one acquired device.
 
@@ -109,7 +106,6 @@ class ExecuteOp(Operation):
             raise ValueError("cim.execute: yielded types do not match results")
 
 
-@register_op
 class YieldOp(Operation):
     """Terminator of a ``cim.execute`` body."""
 
@@ -125,7 +121,6 @@ class YieldOp(Operation):
 # --------------------------------------------------------------------------
 
 
-@register_op
 class TransposeOp(Operation):
     """``cim.transpose`` — swap two dimensions of a tensor."""
 
@@ -142,7 +137,6 @@ class TransposeOp(Operation):
         )
 
 
-@register_op
 class MatmulOp(Operation):
     """``cim.matmul`` — 2-D matrix multiply."""
 
@@ -160,7 +154,6 @@ class MatmulOp(Operation):
         )
 
 
-@register_op
 class SubOp(Operation):
     """``cim.sub`` — broadcasting elementwise subtract."""
 
@@ -176,7 +169,6 @@ class SubOp(Operation):
         )
 
 
-@register_op
 class DivOp(Operation):
     """``cim.div`` — broadcasting elementwise divide.
 
@@ -200,7 +192,6 @@ class DivOp(Operation):
         )
 
 
-@register_op
 class NormOp(Operation):
     """``cim.norm`` — p-norm reduction along ``dim``."""
 
@@ -225,7 +216,6 @@ class NormOp(Operation):
         )
 
 
-@register_op
 class TopkOp(Operation):
     """``cim.topk`` — top-k selection along the last dimension."""
 
@@ -256,7 +246,6 @@ class TopkOp(Operation):
         return self.attributes["largest"].value
 
 
-@register_op
 class SimilarityOp(Operation):
     """``cim.similarity`` — fused similarity search (Algorithm 1 output).
 
@@ -327,7 +316,6 @@ class SimilarityOp(Operation):
             )
 
 
-@register_op
 class ScoreOp(Operation):
     """``cim.score`` — per-pattern similarity scores (pre-top-k).
 
@@ -357,7 +345,6 @@ class ScoreOp(Operation):
         return self.attributes["metric"].value
 
 
-@register_op
 class MergePartialOp(Operation):
     """``cim.merge_partial`` — accumulate partial results.
 

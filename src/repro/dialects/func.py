@@ -6,12 +6,11 @@ from typing import List, Optional, Sequence
 
 from repro.ir.attributes import StringAttr, SymbolRefAttr, TypeAttr
 from repro.ir.block import Block
-from repro.ir.operation import Operation, register_op
+from repro.ir.operation import Operation
 from repro.ir.types import FunctionType, Type
 from repro.ir.value import BlockArgument, Value
 
 
-@register_op
 class FuncOp(Operation):
     """A named function with a single-region body.
 
@@ -62,7 +61,6 @@ class FuncOp(Operation):
                 )
 
 
-@register_op
 class ReturnOp(Operation):
     """Function terminator returning zero or more values."""
 
@@ -73,7 +71,6 @@ class ReturnOp(Operation):
         super().__init__(operands=operands)
 
 
-@register_op
 class CallOp(Operation):
     """Direct call of a function symbol."""
 

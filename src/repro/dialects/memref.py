@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.ir.attributes import ArrayAttr, IntegerAttr
-from repro.ir.operation import Operation, register_op
+from repro.ir.operation import Operation
 from repro.ir.types import MemRefType, TensorType
 from repro.ir.value import Value
 
@@ -19,7 +19,6 @@ def _int_array(values: Sequence[int]) -> ArrayAttr:
     return ArrayAttr([IntegerAttr(int(v)) for v in values])
 
 
-@register_op
 class AllocOp(Operation):
     """Allocate an uninitialised buffer of a static shape."""
 
@@ -31,7 +30,6 @@ class AllocOp(Operation):
         super().__init__(result_types=[result_type])
 
 
-@register_op
 class DeallocOp(Operation):
     """Release a buffer produced by ``memref.alloc``."""
 
@@ -42,7 +40,6 @@ class DeallocOp(Operation):
         super().__init__(operands=[buffer])
 
 
-@register_op
 class CopyOp(Operation):
     """Copy the contents of one buffer into another of equal shape."""
 
@@ -61,7 +58,6 @@ class CopyOp(Operation):
         return self.operands[1]
 
 
-@register_op
 class SubviewOp(Operation):
     """Static subview of a buffer (offsets/sizes/strides attributes).
 
@@ -108,7 +104,6 @@ class SubviewOp(Operation):
         return [e.value for e in self.attributes["static_sizes"]]
 
 
-@register_op
 class ToMemrefOp(Operation):
     """Bufferize a tensor value into a fresh read-only buffer."""
 
@@ -124,7 +119,6 @@ class ToMemrefOp(Operation):
         )
 
 
-@register_op
 class ToTensorOp(Operation):
     """Read a buffer back into a tensor value.
 
@@ -149,7 +143,6 @@ class ToTensorOp(Operation):
         super().__init__(operands=[buffer], result_types=[result_type])
 
 
-@register_op
 class FillOp(Operation):
     """Fill a buffer with one constant scalar (used to zero accumulators)."""
 
@@ -168,7 +161,6 @@ class FillOp(Operation):
         return self.attributes["value"].value
 
 
-@register_op
 class LoadOp(Operation):
     """Load one element at dynamic indices."""
 
@@ -182,7 +174,6 @@ class LoadOp(Operation):
         )
 
 
-@register_op
 class StoreOp(Operation):
     """Store one element at dynamic indices."""
 

@@ -11,12 +11,11 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.ir.block import Block
-from repro.ir.operation import Operation, register_op
+from repro.ir.operation import Operation
 from repro.ir.types import IndexType, index
 from repro.ir.value import Value
 
 
-@register_op
 class YieldOp(Operation):
     """Terminator for scf region bodies, forwarding iteration results."""
 
@@ -60,7 +59,6 @@ class _LoopBase(Operation):
             raise ValueError(f"{self.name}: requires a body block")
 
 
-@register_op
 class ForOp(_LoopBase):
     """Sequential counted loop with optional loop-carried values.
 
@@ -96,7 +94,6 @@ class ForOp(_LoopBase):
         return self.body.arguments[1:]
 
 
-@register_op
 class ParallelOp(_LoopBase):
     """Parallel counted loop: all iterations are independent.
 
@@ -115,7 +112,6 @@ class ParallelOp(_LoopBase):
         self.regions[0].append(Block([index]))
 
 
-@register_op
 class IfOp(Operation):
     """Two-armed conditional; region 0 is then, region 1 is else."""
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.ir.attributes import ArrayAttr, IntegerAttr
-from repro.ir.operation import Operation, register_op
+from repro.ir.operation import Operation
 from repro.ir.types import TensorType
 from repro.ir.value import Value
 
@@ -22,7 +22,6 @@ def _as_ints(attr: ArrayAttr) -> list:
     return [e.value for e in attr]
 
 
-@register_op
 class EmptyOp(Operation):
     """Materialise an uninitialised tensor of a static shape."""
 
@@ -32,7 +31,6 @@ class EmptyOp(Operation):
         super().__init__(result_types=[result_type])
 
 
-@register_op
 class SplatOp(Operation):
     """A tensor filled with one scalar value (used for accumulator init)."""
 
@@ -42,7 +40,6 @@ class SplatOp(Operation):
         super().__init__(operands=[scalar], result_types=[result_type])
 
 
-@register_op
 class ExtractSliceOp(Operation):
     """Extract a statically-sized slice: offsets/sizes/strides attributes.
 
@@ -93,7 +90,6 @@ class ExtractSliceOp(Operation):
         return _as_ints(self.attributes["static_strides"])
 
 
-@register_op
 class InsertSliceOp(Operation):
     """Insert a tensor into a larger tensor at a static offset."""
 
@@ -125,7 +121,6 @@ class InsertSliceOp(Operation):
         return _as_ints(self.attributes["static_offsets"])
 
 
-@register_op
 class DimOp(Operation):
     """The size of one (static) dimension as an ``index`` value."""
 

@@ -13,12 +13,11 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.ir.attributes import BoolAttr, IntegerAttr
-from repro.ir.operation import Operation, register_op
+from repro.ir.operation import Operation
 from repro.ir.types import TensorType, Type, i1, i64
 from repro.ir.value import Value
 
 
-@register_op
 class ConstantIntOp(Operation):
     """``torch.constant.int`` — an i64 scalar constant."""
 
@@ -34,7 +33,6 @@ class ConstantIntOp(Operation):
         return self.attributes["value"].value
 
 
-@register_op
 class ConstantBoolOp(Operation):
     """``torch.constant.bool`` — an i1 scalar constant."""
 
@@ -50,7 +48,6 @@ class ConstantBoolOp(Operation):
         return self.attributes["value"].value
 
 
-@register_op
 class TransposeIntOp(Operation):
     """``torch.aten.transpose.int`` — swap two dimensions."""
 
@@ -85,7 +82,6 @@ def _matmul_result_type(lhs: Type, rhs: Type) -> TensorType:
     return TensorType(shape, lhs.element_type)
 
 
-@register_op
 class MmOp(Operation):
     """``torch.aten.mm`` — 2-D matrix multiply."""
 
@@ -98,7 +94,6 @@ class MmOp(Operation):
         )
 
 
-@register_op
 class MatmulOp(Operation):
     """``torch.aten.matmul`` — generalized matrix multiply."""
 
@@ -111,7 +106,6 @@ class MatmulOp(Operation):
         )
 
 
-@register_op
 class SubOp(Operation):
     """``torch.aten.sub.Tensor`` — elementwise (broadcasting) subtract."""
 
@@ -125,7 +119,6 @@ class SubOp(Operation):
         )
 
 
-@register_op
 class DivOp(Operation):
     """``torch.aten.div.Tensor`` — elementwise (broadcasting) divide.
 
@@ -147,7 +140,6 @@ class DivOp(Operation):
         )
 
 
-@register_op
 class NormOp(Operation):
     """``torch.aten.norm`` — vector p-norm along ``dim``.
 
@@ -184,7 +176,6 @@ class NormOp(Operation):
         return self.attributes["dim"].value
 
 
-@register_op
 class TopkOp(Operation):
     """``torch.aten.topk`` — top-k values and indices along ``dim``.
 

@@ -1,8 +1,9 @@
 """Mini-MLIR intermediate representation.
 
 This package provides the IR substrate C4CAM is built on: SSA values,
-typed operations with nested regions, a dialect/op registry, textual
-printing and parsing, verification, builders and traversal utilities.
+typed operations with nested regions, textual printing (``--dump-ir``),
+verification, builders and traversal utilities.  IR is built by the
+frontend and the passes, never read back from text.
 """
 
 from .attributes import (
@@ -16,14 +17,11 @@ from .attributes import (
     TypeAttr,
     UnitAttr,
     as_attribute,
-    parse_attribute,
 )
 from .block import Block, Region
 from .builder import InsertionPoint, OpBuilder
-from .context import Context, global_context, load_all_dialects
 from .module import ModuleOp
-from .operation import Operation, lookup_op_class, register_op, registered_ops
-from .parser import ParseError, parse_module, parse_operation
+from .operation import Operation
 from .printer import print_module, print_operation
 from .traversal import count, first, parent_of_type, walk
 from .types import (
@@ -49,7 +47,6 @@ from .types import (
     i64,
     index,
     none,
-    parse_type,
 )
 from .value import BlockArgument, OpResult, Use, Value
 from .verifier import VerificationError, verify
@@ -57,14 +54,12 @@ from .verifier import VerificationError, verify
 __all__ = [
     "ArrayAttr", "Attribute", "BoolAttr", "FloatAttr", "IntegerAttr",
     "StringAttr", "SymbolRefAttr", "TypeAttr", "UnitAttr", "as_attribute",
-    "parse_attribute", "Block", "Region", "InsertionPoint", "OpBuilder",
-    "Context", "global_context", "load_all_dialects", "ModuleOp",
-    "Operation", "lookup_op_class", "register_op", "registered_ops",
-    "ParseError", "parse_module", "parse_operation", "print_module",
-    "print_operation", "count", "first", "parent_of_type", "walk",
-    "DYNAMIC", "BoolType", "CamIdType", "DeviceHandleType", "FloatType",
-    "FunctionType", "IndexType", "IntegerType", "MemRefType", "NoneType",
-    "ShapedType", "TensorType", "Type", "f16", "f32", "f64", "i1", "i8",
-    "i32", "i64", "index", "none", "parse_type", "BlockArgument",
-    "OpResult", "Use", "Value", "VerificationError", "verify",
+    "Block", "Region", "InsertionPoint", "OpBuilder", "ModuleOp",
+    "Operation", "print_module", "print_operation", "count", "first",
+    "parent_of_type", "walk", "DYNAMIC", "BoolType", "CamIdType",
+    "DeviceHandleType", "FloatType", "FunctionType", "IndexType",
+    "IntegerType", "MemRefType", "NoneType", "ShapedType", "TensorType",
+    "Type", "f16", "f32", "f64", "i1", "i8", "i32", "i64", "index", "none",
+    "BlockArgument", "OpResult", "Use", "Value", "VerificationError",
+    "verify",
 ]

@@ -1,15 +1,14 @@
 """Attributes: compile-time constant data attached to operations.
 
 Attributes are immutable and hashable, mirroring MLIR attribute semantics.
-Each attribute knows how to print itself in an MLIR-like spelling and the
-module-level :func:`parse_attribute` can read that spelling back.
+Each attribute knows how to print itself in an MLIR-like spelling.
 """
 
 from __future__ import annotations
 
 from typing import Sequence, Tuple
 
-from .types import Type, parse_type
+from .types import Type
 
 
 class Attribute:
@@ -162,63 +161,3 @@ def as_attribute(value) -> Attribute:
     if isinstance(value, (list, tuple)):
         return ArrayAttr([as_attribute(v) for v in value])
     raise TypeError(f"cannot convert {value!r} to an Attribute")
-
-
-def parse_attribute(text: str) -> Attribute:
-    """Parse an attribute from its printed spelling."""
-    text = text.strip()
-    if text == "unit":
-        return UnitAttr()
-    if text in ("true", "false"):
-        return BoolAttr(text == "true")
-    if text.startswith("@"):
-        return SymbolRefAttr(text[1:])
-    if text.startswith('"') and text.endswith('"'):
-        body = text[1:-1]
-        return StringAttr(body.replace('\\"', '"').replace("\\\\", "\\"))
-    if text.startswith("[") and text.endswith("]"):
-        inner = text[1:-1].strip()
-        if not inner:
-            return ArrayAttr([])
-        return ArrayAttr([parse_attribute(p) for p in _split_commas(inner)])
-    if " : " in text:
-        value_str, type_str = text.rsplit(" : ", 1)
-        ty = parse_type(type_str)
-        from .types import FloatType, IntegerType
-
-        if isinstance(ty, IntegerType):
-            return IntegerAttr(int(value_str), ty.width)
-        if isinstance(ty, FloatType):
-            return FloatAttr(float(value_str), ty.width)
-        raise ValueError(f"unsupported typed attribute: {text!r}")
-    try:
-        return parse_type(text) and TypeAttr(parse_type(text))
-    except ValueError:
-        pass
-    raise ValueError(f"cannot parse attribute: {text!r}")
-
-
-def _split_commas(text: str) -> list:
-    """Split at top-level commas (ignores commas inside brackets/strings)."""
-    parts, depth, start, in_str = [], 0, 0, False
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if in_str:
-            if c == "\\":
-                i += 1
-            elif c == '"':
-                in_str = False
-        elif c == '"':
-            in_str = True
-        elif c in "[(<{":
-            depth += 1
-        elif c in "])}" or (c == ">" and (i == 0 or text[i - 1] != "-")):
-            depth -= 1
-        elif c == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-        i += 1
-    if text[start:].strip():
-        parts.append(text[start:])
-    return [p.strip() for p in parts]

@@ -5,10 +5,9 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from .block import Block
-from .operation import Operation, register_op
+from .operation import Operation
 
 
-@register_op
 class ModuleOp(Operation):
     """Top-level container holding functions (and other symbol ops).
 

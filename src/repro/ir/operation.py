@@ -1,9 +1,9 @@
-"""The generic :class:`Operation` and the op-class registry.
+"""The generic :class:`Operation`.
 
 Every IR node is an ``Operation``: it has a dotted name (``dialect.op``),
 typed operands and results, an attribute dictionary, and nested regions.
-Dialect modules subclass ``Operation``, set ``OP_NAME`` and register the
-class so the parser and builders can construct strongly-typed instances.
+Dialect modules subclass ``Operation`` and set ``OP_NAME``, so builders
+construct strongly-typed instances and passes dispatch on the class.
 
 The design intentionally mirrors MLIR:
 
@@ -16,34 +16,11 @@ The design intentionally mirrors MLIR:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type as PyType
+from typing import Dict, List, Optional, Sequence
 
 from .attributes import Attribute, as_attribute
 from .types import Type
 from .value import OpResult, Value
-
-_OP_REGISTRY: Dict[str, PyType["Operation"]] = {}
-
-
-def register_op(cls: PyType["Operation"]) -> PyType["Operation"]:
-    """Class decorator: register ``cls`` under its ``OP_NAME``."""
-    name = getattr(cls, "OP_NAME", None)
-    if not name or "." not in name:
-        raise ValueError(f"{cls.__name__} must define a dotted OP_NAME")
-    if name in _OP_REGISTRY and _OP_REGISTRY[name] is not cls:
-        raise ValueError(f"duplicate registration for op {name!r}")
-    _OP_REGISTRY[name] = cls
-    return cls
-
-
-def lookup_op_class(name: str) -> PyType["Operation"]:
-    """Return the registered class for ``name`` or the generic Operation."""
-    return _OP_REGISTRY.get(name, Operation)
-
-
-def registered_ops() -> Dict[str, PyType["Operation"]]:
-    """A copy of the op registry (name -> class)."""
-    return dict(_OP_REGISTRY)
 
 
 class Operation:

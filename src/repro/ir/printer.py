@@ -1,7 +1,8 @@
 """Textual IR printer (generic MLIR-like syntax).
 
-The printer emits the *generic* operation form, which the companion
-:mod:`repro.ir.parser` can parse back, giving lossless round-trips::
+The printer emits the *generic* operation form; ``c4cam --dump-ir``
+prints each lowering stage this way, and ``tests/golden/`` pins the
+text byte for byte::
 
     %0 = "torch.aten.mm"(%arg0, %1) : (tensor<10x8192xf32>, ...) -> tensor<10x10xf32>
 

@@ -24,7 +24,7 @@ class Type:
 
     Subclasses must be immutable and implement ``__eq__``/``__hash__`` (the
     default implementations compare the ``_key`` tuple) and ``__str__`` using
-    MLIR-like spellings so the printer/parser can round-trip them.
+    MLIR-like spellings, which the printer emits.
     """
 
     def _key(self) -> tuple:
@@ -206,73 +206,3 @@ f16 = FloatType(16)
 f32 = FloatType(32)
 f64 = FloatType(64)
 none = NoneType()
-
-
-def parse_type(text: str) -> Type:
-    """Parse a type from its MLIR spelling.
-
-    Supports every spelling produced by ``str(type)``; used by the textual
-    parser for round-tripping.
-    """
-    text = text.strip()
-    if text == "index":
-        return index
-    if text == "none":
-        return none
-    if text == "i1":
-        return i1
-    if text == "!cim.device":
-        return DeviceHandleType()
-    if text.startswith("!cam.") and text.endswith("_id"):
-        return CamIdType(text[len("!cam.") : -len("_id")])
-    if text.startswith("i") and text[1:].isdigit():
-        return IntegerType(int(text[1:]))
-    if text.startswith("f") and text[1:].isdigit():
-        return FloatType(int(text[1:]))
-    for prefix, cls in (("tensor<", TensorType), ("memref<", MemRefType)):
-        if text.startswith(prefix) and text.endswith(">"):
-            body = text[len(prefix) : -1]
-            parts = body.split("x")
-            elem = parse_type(parts[-1])
-            shape = [DYNAMIC if p == "?" else int(p) for p in parts[:-1]]
-            return cls(shape, elem)
-    if text.startswith("(") and "->" in text:
-        lhs, rhs = _split_arrow(text)
-        ins = _split_types(lhs.strip()[1:-1])
-        rhs = rhs.strip()
-        outs = _split_types(rhs[1:-1]) if rhs.startswith("(") else [rhs]
-        return FunctionType(
-            [parse_type(t) for t in ins if t.strip()],
-            [parse_type(t) for t in outs if t.strip()],
-        )
-    raise ValueError(f"cannot parse type: {text!r}")
-
-
-def _split_arrow(text: str) -> Tuple[str, str]:
-    """Split a function-type spelling at its top-level ``->``."""
-    depth = 0
-    for i in range(len(text) - 1):
-        c = text[i]
-        if c in "(<":
-            depth += 1
-        elif c in ")>":
-            depth -= 1
-        elif depth == 0 and text[i : i + 2] == "->":
-            return text[:i], text[i + 2 :]
-    raise ValueError(f"missing '->' in function type: {text!r}")
-
-
-def _split_types(text: str) -> list:
-    """Split comma-separated types, honouring nesting of ``<>`` and ``()``."""
-    parts, depth, start = [], 0, 0
-    for i, c in enumerate(text):
-        if c in "(<":
-            depth += 1
-        elif c == ")" or (c == ">" and (i == 0 or text[i - 1] != "-")):
-            depth -= 1
-        elif c == "," and depth == 0:
-            parts.append(text[start:i])
-            start = i + 1
-    if text[start:].strip():
-        parts.append(text[start:])
-    return parts

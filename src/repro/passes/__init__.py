@@ -1,18 +1,5 @@
-"""Pass management and pattern-rewrite infrastructure."""
+"""Pass management: passes, the pass manager and textual pipelines."""
 
 from .pass_manager import FunctionPass, ModulePass, Pass, PassManager
-from .rewrite import (
-    PatternRewriter,
-    RewritePattern,
-    apply_patterns_greedily,
-)
 
-__all__ = [
-    "FunctionPass",
-    "ModulePass",
-    "Pass",
-    "PassManager",
-    "PatternRewriter",
-    "RewritePattern",
-    "apply_patterns_greedily",
-]
+__all__ = ["FunctionPass", "ModulePass", "Pass", "PassManager"]

@@ -20,10 +20,8 @@ class PipelineError(ValueError):
 
 def _registry() -> Dict[str, Callable]:
     # Imported lazily to avoid import cycles (transforms import passes).
-    from repro.transforms.canonicalize import CanonicalizePass, CSEPass
     from repro.transforms.cim_fusion import CimFuseOpsPass
     from repro.transforms.cim_to_cam import CimToCamPass
-    from repro.transforms.cim_to_loops import CimToLoopsPass
     from repro.transforms.optimizations import resolve_optimization
     from repro.transforms.partitioning import CimPartitionPass
     from repro.transforms.similarity_matching import SimilarityMatchingPass
@@ -37,9 +35,6 @@ def _registry() -> Dict[str, Callable]:
         "torch-to-cim": lambda arch: TorchToCimPass(),
         "cim-fuse-ops": lambda arch: CimFuseOpsPass(),
         "cim-similarity-match": lambda arch: SimilarityMatchingPass(),
-        "canonicalize": lambda arch: CanonicalizePass(),
-        "cse": lambda arch: CSEPass(),
-        "cim-to-loops": lambda arch: CimToLoopsPass(),
         "cim-partition": needs_arch(
             lambda arch: CimPartitionPass(
                 arch, resolve_optimization(arch).use_density

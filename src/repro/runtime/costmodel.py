@@ -18,27 +18,24 @@ The model is **calibrated**, not guessed.  A :class:`TenantProfile`
 carries a tenant's measured per-query latency/energy (from any
 :class:`~repro.simulator.metrics.ExecutionReport` the sim produced —
 a probe batch, a serving lane's accumulated
-:class:`~repro.runtime.backend.LaneStats`), and the composition rules
-mirror the simulator's accounting exactly:
+:class:`~repro.runtime.backend.LaneStats`), and the model composes only
+what the simulator's accounting makes linear:
 
-* **co-residency** — tenants of one machine serialize, so the machine's
-  busy time for a traffic mix is the *sum* of the tenants' own batch
-  latencies (:meth:`PlacementCost.predict_serial_latency_ns` ==
-  ``combine_serial_reports``);
-* **sharding** — shards answer in parallel and pay one host-side merge
-  hop, so a sharded batch costs ``max(shard latencies) + B *
-  host_topk_latency(candidates)``
-  (:meth:`PlacementCost.predict_sharded_latency_ns` ==
-  :func:`~repro.simulator.metrics.aggregate_reports` with the
-  :class:`~repro.runtime.sharding.ShardedSession` hop);
+* **solo batches** — a tenant's own batch latency and dynamic energy
+  scale with its query count
+  (:meth:`PlacementCost.predict_query_latency_ns`,
+  :meth:`PlacementCost.predict_energy_pj`);
 * **setup amortization** — programming is charged once per session and
-  amortized over the traffic it serves (the PR 1 model behind
+  amortized over the traffic it serves (the session model behind
   :attr:`ExecutionReport.throughput_qps` excluding setup), so a
   tenant's amortized setup share shrinks with its expected query count.
 
-``tests/test_costmodel.py`` asserts these predictions against measured
-sim numbers within tolerance across acam/tcam presets and
-single/co-resident/sharded tenants.
+``tests/test_costmodel.py`` pins the solo predictions to measured sim
+numbers across the tcam and acam presets.  How co-resident tenants
+serialize and how shards merge is the simulator's own business
+(:func:`~repro.simulator.metrics.combine_serial_reports`,
+:func:`~repro.simulator.metrics.aggregate_reports`); the model does not
+restate it.
 
 On top of the calibrated composition sits the *scheduling* estimate:
 given per-tenant :class:`TrafficHint` s (arrival rate, batch rows,
@@ -61,7 +58,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.arch.technology import FEFET_45NM, TechnologyModel
 from repro.simulator.metrics import ExecutionReport
 
 __all__ = [
@@ -282,7 +278,6 @@ class PlacementCost:
         hints: Optional[
             Mapping[str, TrafficHint] | Iterable[TrafficHint]
         ] = None,
-        tech: TechnologyModel = FEFET_45NM,
     ):
         if not isinstance(profiles, Mapping):
             profiles = {p.tenant_id: p for p in profiles}
@@ -299,7 +294,6 @@ class PlacementCost:
                 f"traffic hints name unprofiled tenants: {sorted(unknown)}"
             )
         self.hints: Dict[str, TrafficHint] = dict(hints)
-        self.tech = tech
 
     # ------------------------------------------------------------- lookups
     def profile(self, tenant_id: str) -> TenantProfile:
@@ -329,42 +323,9 @@ class PlacementCost:
         """A tenant's own batch latency for ``queries`` rows (solo)."""
         return queries * self.profile(tenant_id).per_query_latency_ns
 
-    def predict_serial_latency_ns(
-        self, served: Mapping[str, int]
-    ) -> float:
-        """One machine's busy time serving ``{tenant: queries}``.
-
-        Co-resident tenants time-multiplex the fabric, so the machine
-        is busy for the *sum* of their batch latencies — exactly
-        :func:`~repro.simulator.metrics.combine_serial_reports`.
-        """
-        return sum(
-            self.predict_query_latency_ns(tid, queries)
-            for tid, queries in served.items()
-        )
-
     def predict_energy_pj(self, tenant_id: str, queries: int = 1) -> float:
         """A tenant's dynamic query energy for ``queries`` rows."""
         return queries * self.profile(tenant_id).per_query_energy_pj
-
-    def predict_sharded_latency_ns(
-        self,
-        shard_latencies_ns: Sequence[float],
-        queries: int = 1,
-        candidates: int = 1,
-    ) -> float:
-        """A sharded batch: parallel shards plus the host merge hop.
-
-        ``shard_latencies_ns`` are the per-shard batch latencies for
-        this batch size, ``candidates`` the merged top-k column count
-        (``sum(min(k, shard_rows))``) — the
-        :class:`~repro.runtime.sharding.ShardedSession` accounting:
-        ``max(shards) + B * host_topk_latency(candidates)``.
-        """
-        if not shard_latencies_ns:
-            raise ValueError("need at least one shard latency")
-        hop = queries * self.tech.host_topk_latency(candidates)
-        return max(shard_latencies_ns) + hop
 
     def amortized_setup_ns(self, tenant_id: str) -> float:
         """Per-request setup share under the PR 1 amortization model:
@@ -479,17 +440,3 @@ class PlacementCost:
             for index in range(plan.num_machines)
         ]
         return self.score_groups(groups)
-
-    # ----------------------------------------------------------- utilities
-    def calibration_error(
-        self, tenant_id: str, report: ExecutionReport
-    ) -> float:
-        """Relative error of the model's latency prediction against a
-        measured report (the calibration check the tests assert on)."""
-        predicted = self.predict_query_latency_ns(
-            tenant_id, max(1, report.queries)
-        )
-        measured = report.query_latency_ns
-        if measured <= 0:
-            return 0.0 if predicted <= 0 else float("inf")
-        return abs(predicted - measured) / measured

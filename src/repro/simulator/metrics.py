@@ -148,32 +148,6 @@ class ExecutionReport:
             return 0.0
         return self.queries / (self.query_latency_ns * 1e-9)
 
-    def scaled(self, n_queries: int) -> "ExecutionReport":
-        """Extrapolate a single-query report to ``n_queries`` sequential
-        queries (writes are not repeated)."""
-        e = self.energy
-        return ExecutionReport(
-            query_latency_ns=self.query_latency_ns * n_queries,
-            setup_latency_ns=self.setup_latency_ns,
-            energy=EnergyBreakdown(
-                search=e.search * n_queries,
-                read=e.read * n_queries,
-                merge=e.merge * n_queries,
-                host=e.host * n_queries,
-                write=e.write,
-                standby=e.standby * n_queries,
-            ),
-            banks_used=self.banks_used,
-            mats_used=self.mats_used,
-            arrays_used=self.arrays_used,
-            subarrays_used=self.subarrays_used,
-            searches=self.searches * n_queries,
-            search_cycles=self.search_cycles,
-            rows_written=self.rows_written,
-            queries=self.queries * n_queries,
-            spec=self.spec,
-        )
-
     def summary(self) -> str:
         """One-line human-readable summary."""
         return (

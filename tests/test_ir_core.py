@@ -1,5 +1,7 @@
 """Unit tests for Values, Operations, Blocks and Regions."""
 
+import importlib
+
 import pytest
 
 from repro.dialects import arith as arith_d
@@ -7,9 +9,11 @@ from repro.dialects import func as func_d
 from repro.ir.block import Block, Region
 from repro.ir.builder import OpBuilder
 from repro.ir.module import ModuleOp
-from repro.ir.operation import Operation, lookup_op_class, register_op
+from repro.ir.operation import Operation
+from repro.ir.printer import print_operation
 from repro.ir.types import FunctionType, f32, index
 from repro.ir.value import BlockArgument, OpResult
+from repro.ir.verifier import verify
 
 
 def make_func(in_types=(), out_types=()):
@@ -222,24 +226,50 @@ class TestWalkAndClone:
         assert add2.operands[0] is c2.result
 
 
+def dialect_op_classes():
+    """``(dialect module name, op class)`` for every op class the
+    dialect modules define."""
+    modules = [
+        importlib.import_module(f"repro.dialects.{name}")
+        for name in ("arith", "cam", "cim", "func", "memref", "scf",
+                     "tensor", "torch")
+    ]
+    return [
+        (module.__name__.rsplit(".", 1)[1], cls)
+        for module in modules
+        for cls in vars(module).values()
+        if isinstance(cls, type) and issubclass(cls, Operation)
+        and cls.__module__ == module.__name__ and cls.OP_NAME
+    ]
+
+
 class TestRegistry:
+    """Op names and op classes.  No registry maps a name to a class:
+    builders construct the class, passes dispatch on it and the printer
+    prints its ``OP_NAME``, so every class must carry a unique dotted
+    name under its own dialect."""
+
     def test_lookup_registered(self):
-        assert lookup_op_class("arith.constant") is arith_d.ConstantOp
+        classes = {cls.OP_NAME: cls for _d, cls in dialect_op_classes()}
+        assert classes["arith.constant"] is arith_d.ConstantOp
+        op = arith_d.ConstantOp(3)
+        assert op.name == "arith.constant" and op.dialect == "arith"
 
     def test_lookup_unknown_returns_generic(self):
-        assert lookup_op_class("nope.nope") is Operation
+        op = Operation("nope.nope", result_types=[index])
+        assert type(op) is Operation and op.dialect == "nope"
+        verify(op)
+        assert print_operation(op) == '%0 = "nope.nope"() : () -> index'
 
     def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError):
-            @register_op
-            class Dup(Operation):
-                OP_NAME = "arith.constant"
+        names = [cls.OP_NAME for _d, cls in dialect_op_classes()]
+        assert names and len(names) == len(set(names))
 
     def test_register_requires_dotted_name(self):
-        with pytest.raises(ValueError):
-            @register_op
-            class Bad(Operation):
-                OP_NAME = "nodot"
+        for dialect, cls in dialect_op_classes():
+            prefix, dot, rest = cls.OP_NAME.partition(".")
+            assert (prefix, dot) == (dialect, "."), cls
+            assert rest, cls
 
 
 class TestModuleOp:

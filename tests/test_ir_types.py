@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.ir.attributes import TypeAttr
 from repro.ir.types import (
     DYNAMIC,
     BoolType,
@@ -20,7 +21,7 @@ from repro.ir.types import (
     i32,
     i64,
     index,
-    parse_type,
+    none,
 )
 
 
@@ -133,35 +134,64 @@ class TestFunctionAndOpaqueTypes:
         assert CamIdType("bank") != CamIdType("mat")
 
 
+#: Every type spelling the IR printer emits, keyed by its text.
+SPELLINGS = {
+    "index": index,
+    "i1": i1,
+    "i32": i32,
+    "i64": i64,
+    "f32": f32,
+    "f64": f64,
+    "none": none,
+    "!cim.device": DeviceHandleType(),
+    "!cam.bank_id": CamIdType("bank"),
+    "!cam.subarray_id": CamIdType("subarray"),
+    "tensor<10x8192xf32>": TensorType([10, 8192], f32),
+    "memref<10x32xf32>": MemRefType([10, 32], f32),
+    "tensor<f32>": TensorType([], f32),
+    "tensor<?x4xf32>": TensorType([DYNAMIC, 4], f32),
+}
+
+
 class TestParseType:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "index", "i1", "i32", "i64", "f32", "f64", "none",
-            "!cim.device", "!cam.bank_id", "!cam.subarray_id",
-            "tensor<10x8192xf32>", "memref<10x32xf32>", "tensor<f32>",
-            "tensor<?x4xf32>",
-        ],
-    )
+    """The text of each type, pinned to the type it spells.  IR is
+    printed (``c4cam --dump-ir``), never read back, so a spelling is
+    checked against the constructed type, bare and as the ``TypeAttr``
+    a ``function_type`` attribute prints through."""
+
+    @pytest.mark.parametrize("text", list(SPELLINGS))
     def test_roundtrip(self, text):
-        assert str(parse_type(text)) == text
+        ty = SPELLINGS[text]
+        assert str(ty) == text
+        assert str(TypeAttr(ty)) == text
 
     def test_function_type_roundtrip(self):
-        text = "(tensor<10x8192xf32>, i64) -> (tensor<10x1xf32>, tensor<10x1xi64>)"
-        assert str(parse_type(text)) == text
+        ft = FunctionType(
+            [TensorType([10, 8192], f32), i64],
+            [TensorType([10, 1], f32), TensorType([10, 1], i64)],
+        )
+        assert str(ft) == (
+            "(tensor<10x8192xf32>, i64) -> (tensor<10x1xf32>, tensor<10x1xi64>)"
+        )
 
     def test_function_type_single_result(self):
-        text = "(i32) -> f32"
-        assert str(parse_type(text)) == text
+        assert str(FunctionType([i32], [f32])) == "(i32) -> f32"
 
     def test_nested_function_result(self):
-        ft = parse_type("() -> ()")
-        assert isinstance(ft, FunctionType)
+        ft = FunctionType([], [])
         assert ft.inputs == () and ft.results == ()
+        assert str(ft) == "() -> ()"
 
     def test_garbage_raises(self):
-        with pytest.raises(ValueError):
-            parse_type("wibble<3>")
+        with pytest.raises(ValueError, match="invalid element type"):
+            TensorType([3], "wibble")
 
     def test_whitespace_tolerated(self):
-        assert parse_type("  i32  ") == i32
+        """Spellings carry fixed whitespace: one space after each comma
+        and around ``->``, none inside a shaped type."""
+        ft = FunctionType([TensorType([2, 3], f32), i32], [i64, index])
+        assert str(ft) == "(tensor<2x3xf32>, i32) -> (i64, index)"
+        for text in SPELLINGS:
+            assert text == text.strip() and "  " not in text
+            if text.startswith(("tensor<", "memref<")):
+                assert " " not in text

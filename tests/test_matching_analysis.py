@@ -310,7 +310,7 @@ class TestPipelineSpec:
         )
         pm = build_pipeline_from_spec(
             "torch-to-cim,cim-fuse-ops,cim-similarity-match,"
-            "cim-partition,cim-to-cam,cse,canonicalize",
+            "cim-partition,cim-to-cam",
             paper_spec(),
         )
         pm.run(module)
@@ -319,8 +319,10 @@ class TestPipelineSpec:
     def test_available_passes_listed(self):
         from repro.passes.pipeline import available_passes
 
-        names = available_passes()
-        assert "torch-to-cim" in names and "cse" in names
+        assert available_passes() == [
+            "cim-fuse-ops", "cim-partition", "cim-similarity-match",
+            "cim-to-cam", "torch-to-cim",
+        ]
 
 
 class TestCli:
@@ -353,6 +355,19 @@ class TestCli:
         )
         assert code == 0
         assert "cim.execute" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "name", ["frobnicate", "cse", "canonicalize", "cim-to-loops"]
+    )
+    def test_unknown_pass_is_a_usage_error(self, capsys, name):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--dims", "128", "--pipeline", f"torch-to-cim,{name}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unknown pass {name!r}" in err
+        assert "torch-to-cim" in err.split("available:")[1]
 
     def test_arch_json(self, tmp_path, capsys):
         from repro.cli import main

@@ -167,12 +167,17 @@ class TestHostExecutionPaths:
 
 class TestReportScaling:
     def test_scaled_preserves_power(self, dot_kernel, rng):
+        """Power is intensive: a 1000-query batch draws one query's
+        power, and its energy-delay product grows with the square of
+        the batch."""
         stored = rng.choice([-1.0, 1.0], (4, 64)).astype(np.float32)
-        kernel = C4CAMCompiler(paper_spec()).compile(
-            dot_kernel(stored), [placeholder((1, 64))]
-        )
-        kernel(stored[:1])
-        rep = kernel.last_report
-        big = rep.scaled(1000)
+        reports = []
+        for rows in (1, 1000):
+            kernel = C4CAMCompiler(paper_spec()).compile(
+                dot_kernel(stored), [placeholder((1, 64))]
+            )
+            kernel.run_batch(np.repeat(stored[:1], rows, axis=0))
+            reports.append(kernel.last_report)
+        rep, big = reports
         assert big.power_mw == pytest.approx(rep.power_mw)
         assert big.edp == pytest.approx(rep.edp * 1000 * 1000)

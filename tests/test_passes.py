@@ -1,9 +1,14 @@
-"""Pass manager and pattern-rewrite driver tests."""
+"""Pass manager tests, and the rewriting the pipeline's passes do."""
 
+import numpy as np
 import pytest
 
+import repro.frontend.torch_api as torch
 from repro.dialects import arith as arith_d
+from repro.dialects import cim as cim_d
 from repro.dialects import func as func_d
+from repro.frontend import import_graph, placeholder, trace
+from repro.ir import count, print_module
 from repro.ir.builder import OpBuilder
 from repro.ir.module import ModuleOp
 from repro.ir.types import FunctionType
@@ -14,12 +19,8 @@ from repro.passes.pass_manager import (
     PassError,
     PassManager,
 )
-from repro.passes.rewrite import (
-    PatternRewriter,
-    RewritePattern,
-    apply_patterns_greedily,
-    erase_dead_ops,
-)
+from repro.passes.pipeline import build_pipeline_from_spec
+from repro.transforms import CimFuseOpsPass, SimilarityMatchingPass
 
 
 def make_module():
@@ -99,100 +100,68 @@ class TestPassManager:
             Pass().run(ModuleOp())
 
 
-class FoldAddOfConstants(RewritePattern):
-    """addi(c1, c2) -> constant(c1+c2)."""
+def fused(fn, inputs, spec="torch-to-cim,cim-fuse-ops"):
+    m = import_graph(trace(fn, inputs)).module
+    build_pipeline_from_spec(spec).run(m)
+    return m
 
-    OP_NAME = "arith.addi"
 
-    def match_and_rewrite(self, op, rewriter: PatternRewriter):
-        a, b = op.operands
-        ops = (getattr(a, "op", None), getattr(b, "op", None))
-        if not all(isinstance(o, arith_d.ConstantOp) for o in ops):
-            return False
-        folded = rewriter.create(
-            arith_d.ConstantOp, ops[0].value + ops[1].value
-        )
-        rewriter.replace_op(op, [folded.result])
-        return True
+def norm_of_difference(a, b):
+    return torch.norm(a - b, p=2, dim=-1)
+
+
+def execute_bodies(m):
+    return [
+        [op.name for op in execute.body.operations]
+        for execute in m.walk() if isinstance(execute, cim_d.ExecuteOp)
+    ]
 
 
 class TestGreedyRewriter:
+    """The pipeline's pattern rewriting: ``cim-fuse-ops`` fuses blocks
+    to a fixed point and ``cim-similarity-match`` rewrites each matched
+    block once."""
+
     def test_fold_applies(self):
-        m, f = make_module()
-        changed = apply_patterns_greedily(m, [FoldAddOfConstants()])
-        assert changed
-        assert not any(op.name == "arith.addi" for op in m.walk())
+        inputs = [placeholder((5, 8)), placeholder((5, 8))]
+        m = fused(norm_of_difference, inputs, spec="torch-to-cim")
+        assert count(m, name="cim.execute") == 2
+        PassManager([CimFuseOpsPass()]).run(m)
+        assert execute_bodies(m) == [["cim.sub", "cim.norm", "cim.yield"]]
 
-    def test_fixed_point_reached(self):
-        m, f = make_module()
-        apply_patterns_greedily(m, [FoldAddOfConstants()])
-        changed = apply_patterns_greedily(m, [FoldAddOfConstants()])
-        assert not changed
-
-    def test_non_converging_pattern_raises(self):
-        class Churn(RewritePattern):
-            OP_NAME = "arith.constant"
-
-            def match_and_rewrite(self, op, rewriter):
-                new = rewriter.create(arith_d.ConstantOp, op.value)
-                rewriter.replace_op(op, [new.result])
-                return True
-
-        m, _ = make_module()
-        with pytest.raises(RuntimeError, match="converge"):
-            apply_patterns_greedily(m, [Churn()], max_iterations=4)
-
-    def test_benefit_ordering(self):
-        applied = []
-
-        class A(RewritePattern):
-            BENEFIT = 1
-
-            def match_and_rewrite(self, op, rewriter):
-                applied.append("low") if op.name == "arith.addi" else None
-                return False
-
-        class B(RewritePattern):
-            BENEFIT = 5
-
-            def match_and_rewrite(self, op, rewriter):
-                applied.append("high") if op.name == "arith.addi" else None
-                return False
-
-        m, _ = make_module()
-        apply_patterns_greedily(m, [A(), B()])
-        assert applied[0] == "high"
+    def test_fixed_point_reached(self, dot_kernel, rng):
+        stored = rng.choice([-1.0, 1.0], (4, 16)).astype(np.float32)
+        m = fused(dot_kernel(stored), [placeholder((2, 16))],
+                  spec="torch-to-cim,cim-fuse-ops,cim-similarity-match")
+        text = print_module(m)
+        PassManager([CimFuseOpsPass(), SimilarityMatchingPass()]).run(m)
+        assert print_module(m) == text
 
 
 class TestDeadOpElimination:
+    """Ops the passes erase once nothing uses them."""
+
     def test_erases_unused_pure_ops(self):
-        m, f = make_module()
-        add = [op for op in m.walk() if op.name == "arith.addi"][0]
-        add.erase()
-        # Constants now unused.
-        erased = erase_dead_ops(m)
-        assert erased == 2
-        assert len(f.body.operations) == 1  # only the return
+        """Fusion erases the producer block's device acquire/release."""
+        m = fused(norm_of_difference, [placeholder((5, 8)), placeholder((5, 8))])
+        assert count(m, name="cim.acquire") == count(m, name="cim.release") == 1
 
     def test_keeps_used_ops(self):
-        from repro.dialects import memref as memref_d
-        from repro.ir.types import MemRefType, f32
+        """A block the matcher does not match keeps every op."""
 
-        m = ModuleOp()
-        f = func_d.FuncOp("q", FunctionType([], []))
-        m.append(f)
-        b = OpBuilder.at_end(f.body)
-        buf = b.create(memref_d.AllocOp, MemRefType([4], f32))
-        b.create(memref_d.FillOp, buf.result, 1.0)  # side effect keeps chain
-        b.create(func_d.ReturnOp, [])
-        erased = erase_dead_ops(m)
-        assert erased == 0
-        assert any(op.name == "memref.alloc" for op in m.walk())
+        def fn(x, w):
+            return torch.matmul(x, w.transpose(-2, -1))
 
-    def test_cascading_erasure(self):
-        m, f = make_module()
-        # Body is c1, c2, add(unused), return: the add dies, then both
-        # constants become unused and die in later sweeps.
-        erased = erase_dead_ops(m)
-        assert erased == 3
-        assert [op.name for op in f.body.operations] == ["func.return"]
+        m = fused(fn, [placeholder((3, 8)), placeholder((6, 8))],
+                  spec="torch-to-cim,cim-fuse-ops,cim-similarity-match")
+        assert execute_bodies(m) == [
+            ["cim.transpose", "cim.matmul", "cim.yield"]
+        ]
+
+    def test_cascading_erasure(self, dot_kernel, rng):
+        """Once ``cim.similarity`` replaces the top-k, the matmul and then
+        the transpose lose their last use and go too."""
+        stored = rng.choice([-1.0, 1.0], (4, 16)).astype(np.float32)
+        m = fused(dot_kernel(stored), [placeholder((2, 16))],
+                  spec="torch-to-cim,cim-fuse-ops,cim-similarity-match")
+        assert execute_bodies(m) == [["cim.similarity", "cim.yield"]]

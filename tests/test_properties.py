@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core invariants.
 
-* IR print/parse round-trips for arbitrary structured modules;
+* random IR modules survive a deep copy and run to the value Python
+  computes;
 * partition-plan invariants (full coverage, no tile overlap, Table-I
   consistency);
 * CAM search results always equal the numpy reference, for arbitrary
@@ -184,28 +185,32 @@ def test_merge_of_partials_equals_unpartitioned(seed, n):
 @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**31 - 1))
 @settings(max_examples=25, deadline=None)
 def test_ir_roundtrip_random_modules(n_consts, n_adds, seed):
-    """Random straight-line modules survive print -> parse -> print."""
+    """Random straight-line modules survive clone -> print and run to
+    the sum Python computes."""
     from repro.dialects import arith as arith_d
     from repro.dialects import func as func_d
-    from repro.ir import (
-        ModuleOp, OpBuilder, parse_module, print_module, verify,
-    )
-    from repro.ir.types import FunctionType
+    from repro.ir import ModuleOp, OpBuilder, print_module, verify
+    from repro.ir.types import FunctionType, index
+    from repro.runtime.executor import Interpreter
 
     rng = np.random.default_rng(seed)
     m = ModuleOp()
-    f = func_d.FuncOp("r", FunctionType([], []))
+    f = func_d.FuncOp("r", FunctionType([], [index]))
     m.append(f)
     b = OpBuilder.at_end(f.body)
-    values = [
-        b.create(arith_d.ConstantOp, int(rng.integers(-100, 100))).result
-        for _ in range(n_consts)
-    ]
+    values, expected = [], []
+    for _ in range(n_consts):
+        v = int(rng.integers(-100, 100))
+        values.append(b.create(arith_d.ConstantOp, v).result)
+        expected.append(v)
     for _ in range(n_adds):
         a, c = rng.choice(len(values), 2)
         values.append(b.create(arith_d.AddIOp, values[a], values[c]).result)
-    b.create(func_d.ReturnOp, [])
-    text = print_module(m)
-    m2 = parse_module(text)
-    verify(m2)
-    assert print_module(m2) == text
+        expected.append(expected[a] + expected[c])
+    b.create(func_d.ReturnOp, [values[-1]])
+    verify(m)
+    copy = m.clone()
+    verify(copy)
+    assert print_module(copy) == print_module(m)
+    out, _ = Interpreter(copy).run_function("r", [])
+    assert out == [expected[-1]]

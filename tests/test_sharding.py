@@ -254,6 +254,38 @@ class TestAutoShard:
         assert kernel.num_shards == 2
         assert kernel.session().num_shards == 2
 
+    def test_reset_after_split_matches_fresh_kernel(self, dot_kernel, rng):
+        """``reset()`` re-deploys the compiled layout: after inserts split
+        both shards, the next batch answers and charges exactly what a
+        freshly compiled kernel's first batch does (the split machines'
+        banks and standby power are gone, not kept holding no rows)."""
+        spec = replace(paper_spec(rows=8, cols=8, cam_type="acam"), banks=2)
+        stored = rng.standard_normal((8, 8)).astype(np.float32)
+        queries = rng.standard_normal((3, 8)).astype(np.float32)
+
+        def compile_probe():
+            return compile_dot(dot_kernel, stored, (1, 8), k=3, spec=spec,
+                               num_shards=2)
+
+        kernel = compile_probe()
+        for _ in range(20):
+            kernel.insert(rng.standard_normal((1, 8)).astype(np.float32))
+        assert kernel.num_shards == 4
+        kernel.reset()
+        values, indices = kernel.run_batch(queries)
+        report = kernel.last_report
+
+        fresh = compile_probe()
+        fresh_values, fresh_indices = fresh.run_batch(queries)
+        expected = fresh.last_report
+        np.testing.assert_array_equal(indices, fresh_indices)
+        np.testing.assert_array_equal(values, fresh_values)
+        assert report.banks_used == expected.banks_used == 2
+        assert report.energy == expected.energy
+        assert report.energy.standby == pytest.approx(166.2, abs=0.05)
+        assert report.query_latency_ns == expected.query_latency_ns
+        assert report.setup_latency_ns == expected.setup_latency_ns
+
     def test_noise_reproducible_and_decorrelated(self, dot_kernel, rng):
         stored = rng.choice([-1.0, 1.0], (20, 64)).astype(np.float32)
         queries = rng.choice([-1.0, 1.0], (4, 64)).astype(np.float32)

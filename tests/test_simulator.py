@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.arch import paper_spec
+from repro.compiler import C4CAMCompiler
+from repro.frontend import placeholder
 from repro.simulator import (
     AllocationError,
     CamMachine,
@@ -22,6 +24,16 @@ from repro.simulator import (
     threshold_match,
 )
 from repro.simulator.cells import DONT_CARE
+
+
+def batch_report(model, query, rows):
+    """The report of one batch of ``rows`` copies of ``query`` on a
+    freshly compiled kernel."""
+    kernel = C4CAMCompiler(paper_spec()).compile(
+        model, [placeholder((1, query.shape[1]))]
+    )
+    kernel.run_batch(np.repeat(query, rows, axis=0))
+    return kernel.last_report
 
 
 class TestCells:
@@ -341,18 +353,20 @@ class TestMetrics:
         assert e.query_total == 10.0
         assert e.total == 110.0
 
-    def test_scaled(self):
-        rep = ExecutionReport(
-            query_latency_ns=5.0,
-            energy=EnergyBreakdown(search=2.0, write=7.0),
-            searches=3,
-        )
-        big = rep.scaled(100)
-        assert big.query_latency_ns == 500.0
-        assert big.energy.search == 200.0
-        assert big.energy.write == 7.0  # programmed once
-        assert big.searches == 300
+    def test_scaled(self, dot_kernel, rng):
+        """A batch of 100 queries costs 100 times one query's latency,
+        search energy and searches; the store is programmed once."""
+        stored = rng.choice([-1.0, 1.0], (4, 64)).astype(np.float32)
+        one, big = [
+            batch_report(dot_kernel(stored), stored[:1], rows)
+            for rows in (1, 100)
+        ]
         assert big.queries == 100
+        assert big.searches == 100 * one.searches
+        assert big.query_latency_ns == pytest.approx(100 * one.query_latency_ns)
+        assert big.energy.search == pytest.approx(100 * one.energy.search)
+        assert big.energy.write == one.energy.write  # programmed once
+        assert big.setup_latency_ns == one.setup_latency_ns
 
     def test_summary_string(self):
         assert "latency=" in ExecutionReport().summary()

@@ -177,39 +177,3 @@ class TenantPool:
         if tenant_id is not None:
             return cluster.tenant_report(tenant_id)
         return cluster.report()
-
-    def cluster(self, **cluster_kwargs):
-        """A caller-owned :class:`~repro.runtime.cluster.Cluster` over
-        the registered stores, outside the pool's lifecycle.
-
-        Every registered store is compiled and admitted as its own
-        tenant in registration order (a store too large for one
-        machine shards instead of being refused, unlike :meth:`open`);
-        the returned cluster then supports runtime
-        ``admit``/``evict`` (with defragmenting re-placement),
-        ``submit(queries, tenant=name, priority=, deadline=)`` and
-        queue-depth autoscaling.  Keyword arguments configure the
-        cluster (``max_machines`` defaults to the pool's).  The pool
-        itself stays closed — the cluster owns its machines.
-        """
-        if not self._stores:
-            raise RuntimeError("the pool has no tenants; add() some")
-        from repro.compiler import C4CAMCompiler
-        from repro.frontend import placeholder
-
-        cluster_kwargs.setdefault("max_machines", self.max_machines)
-        compiler = C4CAMCompiler(self.spec, self.tech)
-        return compiler.compile_cluster(
-            [
-                _dot_similarity_model(stored, k, largest)
-                for stored, k, largest in self._stores.values()
-            ],
-            [
-                [placeholder((1, stored.shape[1]))]
-                for stored, _k, _largest in self._stores.values()
-            ],
-            tenant_ids=list(self._stores),
-            noise_sigma=self.noise_sigma,
-            noise_seed=self.noise_seed,
-            **cluster_kwargs,
-        )

@@ -84,8 +84,8 @@ def make_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--cluster", type=int, metavar="K",
-        help="demo the dynamic cluster control plane: admit K kernels "
-        "at runtime, serve a mixed-priority workload (odd tenants "
+        help="demo the dynamic cluster control plane: place K kernels "
+        "on one shared fleet, serve a mixed-priority workload (odd tenants "
         "submit at --priority, even at 0), evict the first tenant "
         "(defragmenting re-placement) and re-serve the survivors; "
         "honours --banks and --batch",
@@ -167,26 +167,33 @@ def build_kernel(args):
     return DotSimilarity(), example, queries
 
 
-def run_tenants_demo(args, spec: ArchSpec) -> int:
-    """``--tenants K``: pack K kernels onto one fleet and query each.
-
-    Tenant ``i`` stores ``patterns + i*patterns//2`` rows (so demands
+def _demo_pool(args, spec: ArchSpec, count: int, rng, num_replicas=1):
+    """A :class:`~repro.apps.TenantPool` of ``count`` top-1 stores:
+    tenant ``i`` stores ``patterns + i*patterns//2`` rows (so demands
     differ and the first-fit-decreasing packing is visible), all at
-    ``--dims`` features.  Serves ``--batch`` (default ``--queries``)
-    queries per tenant — through the cluster's tenant-aware async path
-    with ``--serve``, synchronously otherwise — then prints each
-    tenant's own accounting and the fleet report.
-    """
+    ``--dims`` features."""
     from repro.apps import TenantPool
 
-    rng = np.random.default_rng(args.seed)
-    pool = TenantPool(spec, num_replicas=args.replicas or 1)
-    for i in range(args.tenants):
+    pool = TenantPool(spec, num_replicas=num_replicas)
+    for i in range(count):
         patterns = args.patterns + i * (args.patterns // 2)
         stored = rng.choice([-1.0, 1.0], (patterns, args.dims)).astype(
             np.float32
         )
         pool.add(f"tenant{i}", stored, k=1)
+    return pool
+
+
+def run_tenants_demo(args, spec: ArchSpec) -> int:
+    """``--tenants K``: pack K kernels onto one fleet and query each.
+
+    Serves ``--batch`` (default ``--queries``) queries per tenant of
+    :func:`_demo_pool` — through the cluster's tenant-aware async path
+    with ``--serve``, synchronously otherwise — then prints each
+    tenant's own accounting and the fleet report.
+    """
+    rng = np.random.default_rng(args.seed)
+    pool = _demo_pool(args, spec, args.tenants, rng, args.replicas or 1)
     n_queries = args.batch or args.queries
     try:
         cluster = pool.open(max_batch=max(1, n_queries // 2))
@@ -248,44 +255,20 @@ def run_tenants_demo(args, spec: ArchSpec) -> int:
 def run_cluster_demo(args, spec: ArchSpec) -> int:
     """``--cluster K``: a living fleet — admit, prioritise, evict.
 
-    Compiles K dot-similarity tenants of growing store size, admits
-    them into one :class:`~repro.runtime.cluster.Cluster` at runtime,
-    serves every tenant a ``--batch`` (default ``--queries``) workload
-    through the priority/deadline intake (odd tenants submit at
-    ``--priority``, even at 0), then evicts the first tenant — its
-    banks are reclaimed by a defragmenting re-placement — and re-serves
-    a survivor to show the results did not move.
+    Places the K tenants of :func:`_demo_pool` on one
+    :class:`~repro.runtime.cluster.Cluster` (through
+    :meth:`~repro.apps.TenantPool.open`, as ``--tenants`` does), serves
+    every tenant a ``--batch`` (default ``--queries``) workload through
+    the priority/deadline intake (odd tenants submit at ``--priority``,
+    even at 0), then evicts the first tenant — its banks are reclaimed
+    by a defragmenting re-placement — and re-serves a survivor to show
+    the results did not move.
     """
     rng = np.random.default_rng(args.seed)
-    compiler = C4CAMCompiler(spec)
-    models, ids = [], []
-    for i in range(args.cluster):
-        patterns = args.patterns + i * (args.patterns // 2)
-        stored = rng.choice([-1.0, 1.0], (patterns, args.dims)).astype(
-            np.float32
-        )
-        models.append(stored)
-        ids.append(f"tenant{i}")
-    import repro.frontend.torch_api as torch
-
-    def dot_model(stored):
-        class DotSimilarity(torch.Module):
-            def __init__(self):
-                self.weight = torch.tensor(stored)
-
-            def forward(self, input):
-                others = self.weight.transpose(-2, -1)
-                matmul = torch.matmul(input, others)
-                return torch.ops.aten.topk(matmul, 1, largest=True)
-
-        return DotSimilarity()
-
+    pool = _demo_pool(args, spec, args.cluster, rng)
+    ids = pool.tenant_ids
     try:
-        cluster = compiler.compile_cluster(
-            [dot_model(stored) for stored in models],
-            [[placeholder((1, args.dims))] for _ in models],
-            tenant_ids=ids,
-        )
+        cluster = pool.open()
     except (CapacityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

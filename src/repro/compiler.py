@@ -75,9 +75,9 @@ from repro.ir.module import ModuleOp
 from repro.ir.printer import print_module
 from repro.ir.value import BlockArgument
 from repro.passes.pass_manager import PassManager
-from repro.runtime.cluster import Cluster
+from repro.runtime.cluster import Cluster, _check_tenant
 from repro.runtime.executor import Interpreter
-from repro.runtime.placement import TenantProgram, plan_placement, tenant_demand
+from repro.runtime.placement import plan_placement, tenant_demand
 from repro.runtime.serving import ReplicatedSession, ServingEngine
 from repro.runtime.session import QueryProgram, QuerySession, SessionError
 from repro.runtime.sharding import (
@@ -89,13 +89,13 @@ from repro.runtime.sharding import (
 from repro.simulator.machine import CamMachine
 from repro.simulator.metrics import ExecutionReport
 from repro.transforms import (
+    CapacityError,
     CimFuseOpsPass,
     CimPartitionPass,
     CimToCamPass,
     SimilarityMatchingPass,
     TorchToCimPass,
     check_plan_capacity,
-    compute_partition_plan,
     plan_of,
     resolve_optimization,
 )
@@ -254,30 +254,32 @@ class CompiledKernel:
         return self.shard_set.num_shards if self.shard_set else 1
 
     @property
+    def _serves_program(self) -> bool:
+        """True when the kernel is machine-lowered with exactly one
+        similarity program and its traced function returns exactly that
+        program's (values, indices) — a model that reorders or
+        post-processes the similarity outputs takes the full interpreter
+        walk, which reproduces its dataflow."""
+        if self._program_serves_function is None:
+            func = self.module.lookup_symbol(self.func_name)
+            self._program_serves_function = (
+                self.uses_machine
+                and len(self.query_programs) == 1
+                and func is not None
+                and self.query_programs[0].matches_function(func)
+            )
+        return self._program_serves_function
+
+    @property
     def _sessionable(self) -> bool:
         """True when calls can stream through a cached QuerySession.
 
-        Beyond having exactly one lowered similarity program, the traced
-        function must return exactly that program's (values, indices) —
-        a model that reorders or post-processes the similarity outputs
-        takes the full interpreter walk, which reproduces its dataflow.
         Sharded kernels are always session-served: their shard modules
         are built to return the program results directly.
         """
         if self.shard_set is not None:
             return self.uses_machine
-        if self._program_serves_function is None:
-            func = self.module.lookup_symbol(self.func_name)
-            self._program_serves_function = (
-                len(self.query_programs) == 1
-                and func is not None
-                and self.query_programs[0].matches_function(func)
-            )
-        return (
-            self.uses_machine
-            and self.cache_session
-            and self._program_serves_function
-        )
+        return self.cache_session and self._serves_program
 
     def _open_session(self) -> QuerySession:
         if self.shard_set is not None:
@@ -296,8 +298,7 @@ class CompiledKernel:
                 "batched sessions need a machine-lowered kernel with "
                 "exactly one similarity program"
             )
-        _ = self._sessionable  # populate the cached structural check
-        if not self._program_serves_function:
+        if not self._serves_program:
             raise SessionError(
                 "the traced function does not return the similarity "
                 "program's (values, indices) directly; run it through "
@@ -641,8 +642,8 @@ class C4CAMCompiler:
     ) -> Cluster:
         """Compile several kernels for co-residency on one machine fleet.
 
-        Each model is lowered independently (same pipeline as
-        :meth:`compile`) and must be exactly one similarity kernel
+        Each model goes through :meth:`compile` for one machine
+        (``num_shards=1``) and must be exactly one similarity kernel
         returning its ``(values, indices)`` directly — the same
         structural contract sharding and replication demand, since every
         tenant is served through the shared-machine session path.  The
@@ -662,7 +663,7 @@ class C4CAMCompiler:
         submission order.  ``num_replicas`` gives every tenant that
         many serving lanes (``admit(lanes=)``); the remaining keyword
         arguments (``fused``, ``noise_sigma``, ``max_batch``, …)
-        configure the cluster as in :meth:`compile_cluster`.
+        configure the :class:`~repro.runtime.cluster.Cluster`.
         """
         if len(models) != len(example_inputs):
             raise ValueError(
@@ -679,107 +680,31 @@ class C4CAMCompiler:
             )
         if num_replicas < 1:
             raise ValueError("num_replicas must be >= 1")
-        config = resolve_optimization(self.spec)
-        # Stage 1: lower every tenant to the cim level and collect its
-        # placement demand, so over-packing fails before any cam-level
-        # work (and with the tenant named, not a bare kernel overflow).
-        staged = []
+        # Plan before programming anything: an oversized tenant's
+        # CapacityError carries its plan, so placement names it with
+        # every tenant's demand instead of a bare kernel overflow.
+        kernels, demands = {}, []
         for tenant_id, fn, example in zip(tenant_ids, models, example_inputs):
-            module, params = self.import_torchscript(fn, example)
-            build_pipeline(self.spec, lower_to_cam=False).run(module)
-            info = _find_shardable_similarity(module, params)
-            if info is None:
-                raise SessionError(
-                    f"tenant {tenant_id!r} is not placeable: multi-tenant "
-                    "kernels must be exactly one similarity kernel "
-                    "returning its (values, indices) directly"
-                )
-            plan = compute_partition_plan(
-                info["patterns"],
-                info["features"],
-                info["queries"],
-                self.spec,
-                config.use_density,
-            )
-            staged.append((tenant_id, module, params, plan))
-        placement = plan_placement(
-            [tenant_demand(tid, plan, self.spec) for tid, _, _, plan in staged],
-            self.spec,
-            max_machines,
-        )
-        # Stage 2: lower each placeable tenant to cam.
-        tenants = {}
-        for tenant_id, module, params, _plan in staged:
-            cam = CimToCamPass(self.spec, config)
-            PassManager([cam]).run(module)
-            if len(cam.programs) != 1:
-                raise SessionError(
-                    f"tenant {tenant_id!r} lowered to {len(cam.programs)} "
-                    "similarity programs; expected exactly one"
-                )
-            tenants[tenant_id] = TenantProgram(
-                tenant_id=tenant_id,
-                module=module,
-                parameters=list(params),
-                program=cam.programs[0],
-            )
+            try:
+                kernel = self.compile(fn, example, num_shards=1)
+            except CapacityError as exc:
+                plan = exc.plan
+            else:
+                _check_tenant(kernel, self.spec, tenant_id)
+                kernels[tenant_id] = kernel
+                plan = kernel.query_programs[0].plan
+            demands.append(tenant_demand(tenant_id, plan, self.spec))
+        placement = plan_placement(demands, self.spec, max_machines)
         cluster = Cluster(
             self.spec, self.tech, max_machines=max_machines, **cluster_kwargs
         )
         for assignment in placement.assignments:
             cluster.admit(
-                tenants[assignment.tenant_id],
+                kernels[assignment.tenant_id],
                 tenant_id=assignment.tenant_id,
                 lanes=num_replicas,
             )
         return cluster
-
-    def compile_cluster(
-        self,
-        models: Sequence[Callable],
-        example_inputs: Sequence[Sequence[Tensor]],
-        tenant_ids: Optional[Sequence[str]] = None,
-        noise_sigma: float = 0.0,
-        noise_seed: int = 0,
-        **cluster_kwargs,
-    ) -> Cluster:
-        """Compile several kernels and admit them into a live
-        :class:`~repro.runtime.cluster.Cluster` control plane.
-
-        Unlike :meth:`compile_many` (which plans the whole tenant set at
-        compile time and refuses a tenant too large for one machine),
-        each kernel is admitted in submission order, and a kernel too
-        large for one machine joins as a sharded tenant spanning
-        machines.  Keyword arguments
-        (``max_machines``, ``autoscale_max_lanes``, ``time_scale``, …)
-        configure the :class:`~repro.runtime.cluster.Cluster`.
-        """
-        if len(models) != len(example_inputs):
-            raise ValueError(
-                f"{len(models)} models but {len(example_inputs)} example "
-                f"input sets"
-            )
-        if not models:
-            raise ValueError("compile_cluster needs at least one model")
-        if tenant_ids is not None and len(tenant_ids) != len(models):
-            raise ValueError(
-                f"{len(models)} models but {len(tenant_ids)} tenant ids"
-            )
-        kernels = [
-            self.compile(
-                fn, example, noise_sigma=noise_sigma, noise_seed=noise_seed
-            )
-            for fn, example in zip(models, example_inputs)
-        ]
-        return Cluster.from_kernels(
-            kernels,
-            tenant_ids=tenant_ids,
-            spec=self.spec,
-            tech=self.tech,
-            noise_sigma=noise_sigma,
-            noise_seed=noise_seed,
-            **cluster_kwargs,
-        )
 
     def reference(
         self, fn: Callable, example_inputs: Sequence[Tensor]

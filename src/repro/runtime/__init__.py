@@ -21,7 +21,6 @@ from .executor import ExecutionError, Interpreter
 from .placement import (
     PlacementError,
     TenantDemand,
-    TenantProgram,
     plan_placement,
     tenant_demand,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "ShardedSession",
     "ShardSet",
     "TenantDemand",
-    "TenantProgram",
     "aggregate_reports",
     "build_shard_set",
     "plan_shard_count",

@@ -5,18 +5,20 @@ known up front (:meth:`~repro.compiler.C4CAMCompiler.compile_many`,
 :class:`~repro.apps.TenantPool`) is planned at compile time and admitted
 in the plan's programming order, so first fit reproduces the planned
 bank spans.  But serving fleets are not static: kernels arrive, depart,
-burst and starve, and sharded tenants, priority/deadline dispatch,
-defragmenting re-placement and queue-depth autoscaling all need one
-place to land.  This module is that place, and the one owner of
-tenancy in the runtime: it places single-tenant sessions on shared
-machines and serves each of a tenant's lanes through the
+burst and starve, and priority/deadline dispatch, defragmenting
+re-placement and queue-depth autoscaling all need one place to land.
+This module is that place, and the one owner of tenancy in the
+runtime: it places single-tenant sessions on shared machines and
+serves each of a tenant's lanes through the
 :class:`~repro.runtime.serving.ServingEngine`, which keeps only the
 tenant affinity and tenant-pure batches those lanes need:
 
 * **dynamic lifecycle** — :meth:`Cluster.admit` programs a compiled
   kernel onto the shared fleet at runtime (first-fit into free banks,
-  opening machines up to ``max_machines``); :meth:`Cluster.evict`
-  retires one, failing its still-pending futures with
+  opening machines up to ``max_machines``).  A tenant is one
+  single-machine kernel: a store sharded across machines is refused,
+  not placed.  :meth:`Cluster.evict` retires one, failing its
+  still-pending futures with
   :class:`~repro.runtime.backend.ClusterShutdown` and **defragmenting**
   the survivors — banks are reclaimed by re-packing the remaining
   placed tenants onto fresh machines (:func:`plan_placement`), and
@@ -28,10 +30,6 @@ tenant affinity and tenant-pure batches those lanes need:
   on a re-pack); a traffic-aware layout is planned offline, by
   :func:`plan_placement` with a
   :class:`~repro.runtime.costmodel.PlacementCost`.
-* **sharded tenants** — a kernel whose bank demand exceeds one machine
-  (compiled with a ``shard_set``) joins the fleet as a
-  :class:`~repro.runtime.sharding.ShardedSession` spanning its own
-  machines, counted against ``max_machines`` alongside the shared ones.
 * **priority/deadline dispatch** — :meth:`Cluster.submit` takes
   ``priority=`` (higher first) and ``deadline=`` (earliest-deadline-
   first within a priority class); the engine's
@@ -57,7 +55,7 @@ eviction retires the lane under that lock, so every batch an evicted
 tenant's future received is in the lifetime report.
 
 Tenant sessions are **fused** by default (``fused=True`` on the
-cluster, threaded into every placed, sharded and autoscaled lane):
+cluster, threaded into every placed and autoscaled lane):
 each tenant's batches replay its traced
 :class:`~repro.runtime.fused.FusedPlan` instead of the per-stage
 session walk.  The bitwise-identity guarantee is unchanged — results
@@ -72,7 +70,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import threading
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,15 +86,9 @@ from repro.simulator.metrics import (
 
 from .backend import ClusterShutdown, LaneStats, SessionError
 from .machineview import MachineGroupView
-from .placement import (
-    PlacementError,
-    TenantProgram,
-    plan_placement,
-    tenant_demand,
-)
+from .placement import plan_placement, tenant_demand
 from .serving import ServingEngine, _Lane
 from .session import QuerySession, StoreOverflow
-from .sharding import ShardedSession, ShardSet
 
 __all__ = ["Cluster", "ClusterShutdown"]
 
@@ -105,12 +97,11 @@ class _LaneRecord(_Lane):
     """One of a tenant's serving lanes: the engine's lane and the
     control plane's record of it, one object.
 
-    ``backend`` is the live session (a colocated
-    :class:`~repro.runtime.session.QuerySession` for a placed tenant,
-    a :class:`~repro.runtime.sharding.ShardedSession` for a sharded
-    one, a private clone for a scaled lane), ``lock`` the mutual
-    exclusion unit it shares with other lanes of the same physical
-    machine, ``stats`` the current epoch's traffic.  ``generation``
+    ``backend`` is the live session (a
+    :class:`~repro.runtime.session.QuerySession` colocated on a shared
+    machine for the primary lane, a private clone for a scaled lane),
+    ``lock`` the mutual exclusion unit it shares with other lanes of
+    the same physical machine, ``stats`` the current epoch's traffic.  ``generation``
     bumps whenever a defragmentation swaps the backend, so an in-flight
     serve that raced the swap retries against the fresh session.
     ``retired`` is set under the lane's lock when its tenant is evicted.
@@ -165,22 +156,20 @@ class _LaneRecord(_Lane):
 
 
 class _Tenant:
-    """One live tenant: its compiled source, lanes and accounting."""
+    """One live tenant: its compiled kernel, lanes and accounting."""
 
     __slots__ = (
-        "tenant_id", "kind", "program", "shard_set", "func_name", "width",
+        "tenant_id", "kernel", "program", "width",
         "lanes", "retired_lanes", "epoch_reports", "scaling",
         "store_state", "extra_groups",
     )
 
-    def __init__(self, tenant_id, kind, program, shard_set, func_name,
-                 width):
+    def __init__(self, tenant_id, kernel):
         self.tenant_id = tenant_id
-        self.kind = kind              # "placed" | "sharded"
-        self.program = program        # TenantProgram (placed)
-        self.shard_set = shard_set    # ShardSet (sharded)
-        self.func_name = func_name
-        self.width = width
+        self.kernel = kernel
+        #: The kernel's one similarity program, replayed on every lane.
+        self.program = kernel.query_programs[0]
+        self.width = self.program.plan.features
         self.lanes: List[_LaneRecord] = []
         #: Final reports of lanes retired mid-epoch (autoscale-down).
         self.retired_lanes: List[ExecutionReport] = []
@@ -197,6 +186,34 @@ class _Tenant:
         self.extra_groups = 0
 
 
+def _check_tenant(kernel, spec: ArchSpec, tenant_id: str) -> None:
+    """Refuse a kernel the fleet cannot serve as one tenant.
+
+    A tenant is one single-machine kernel compiled for the fleet's spec
+    whose traced function returns its one similarity program's
+    ``(values, indices)`` — exactly what a placed session replays.
+    Raises :class:`~repro.runtime.backend.SessionError` naming the
+    tenant otherwise.
+    """
+    if kernel.spec != spec:
+        raise SessionError(
+            f"tenant {tenant_id!r} was compiled for a different ArchSpec "
+            f"than the cluster's ({kernel.spec!r} vs {spec!r})"
+        )
+    if kernel.shard_set is not None:
+        raise SessionError(
+            f"tenant {tenant_id!r} is not placeable: its store spans "
+            f"{kernel.shard_set.num_shards} machines, and a tenant lives "
+            "on one (compile it with num_shards=1)"
+        )
+    if not kernel._serves_program:
+        raise SessionError(
+            f"tenant {tenant_id!r} is not placeable: cluster tenants must "
+            "be machine-lowered kernels with exactly one similarity "
+            "program returning its (values, indices) directly"
+        )
+
+
 class Cluster(MachineGroupView):
     """A shared CAM fleet with a dynamic tenant set and one request intake.
 
@@ -211,13 +228,14 @@ class Cluster(MachineGroupView):
         cluster.evict("a")        # defragments; "b" results unchanged
         cluster.shutdown()
 
-    ``admit`` accepts a :class:`~repro.compiler.CompiledKernel` (from
-    :meth:`~repro.compiler.C4CAMCompiler.compile` — sharded kernels
-    span machines) or a prepared
-    :class:`~repro.runtime.placement.TenantProgram`.  The cluster is a
-    context manager (clean exit drains, exceptional exit aborts).  It
-    owns tenancy: the sessions it places are single-tenant, and each of
-    a tenant's serving lanes is one :class:`_LaneRecord`.
+    ``admit`` accepts a single-machine
+    :class:`~repro.compiler.CompiledKernel` (from
+    :meth:`~repro.compiler.C4CAMCompiler.compile`) whose traced
+    function returns its one similarity program's ``(values,
+    indices)``.  The cluster is a context manager (clean exit drains,
+    exceptional exit aborts).  It owns tenancy: the sessions it places
+    are single-tenant, and each of a tenant's serving lanes is one
+    :class:`_LaneRecord`.
     """
 
     _group_noun = "cluster"
@@ -275,48 +293,18 @@ class Cluster(MachineGroupView):
         self.last_report: Optional[ExecutionReport] = None
         self.batches_run = 0
 
-    @classmethod
-    def from_kernels(
-        cls,
-        kernels: Sequence,
-        tenant_ids: Optional[Sequence[str]] = None,
-        **kwargs,
-    ) -> "Cluster":
-        """A cluster pre-admitting ``kernels`` (spec/tech from the
-        first); keyword arguments configure the :class:`Cluster`."""
-        if not kernels:
-            raise ValueError("from_kernels needs at least one kernel")
-        if tenant_ids is not None and len(tenant_ids) != len(kernels):
-            raise ValueError(
-                f"{len(kernels)} kernels but {len(tenant_ids)} tenant ids"
-            )
-        kwargs.setdefault("spec", kernels[0].spec)
-        kwargs.setdefault("tech", kernels[0].tech)
-        cluster = cls(**kwargs)
-        for index, kernel in enumerate(kernels):
-            cluster.admit(
-                kernel,
-                tenant_id=None if tenant_ids is None else tenant_ids[index],
-            )
-        return cluster
-
     # ------------------------------------------------------------ topology
     @property
     def machines(self) -> List[CamMachine]:
-        """Every physical machine: the shared fleet, then each private
-        (sharded / autoscaled) lane's machines in admission order."""
+        """Every physical machine: the shared fleet, then each scaled
+        lane's private machine in admission order."""
         with self._admit_lock:
-            out = list(self._shared_machines)
-            for tid in self._admit_order:
-                for record in self._tenants[tid].lanes:
-                    if record.machine_index is not None:
-                        continue
-                    group = getattr(record.backend, "machines", None)
-                    if group is not None:
-                        out.extend(group)
-                    else:
-                        out.append(record.backend.machine)
-            return out
+            return list(self._shared_machines) + [
+                record.backend.machine
+                for tid in self._admit_order
+                for record in self._tenants[tid].lanes
+                if record.machine_index is None
+            ]
 
     @property
     def num_machines(self) -> int:
@@ -337,18 +325,14 @@ class Cluster(MachineGroupView):
             return len(self._require(tenant_id).lanes)
 
     def bank_spans(self) -> Dict[str, tuple]:
-        """Placed tenants' ``(machine_index, first_bank, banks)`` spans —
-        the invariant surface the defragmentation tests check."""
+        """Tenants' ``(machine_index, first_bank, banks)`` spans — the
+        invariant surface the defragmentation tests check."""
         with self._admit_lock:
             return {
-                tid: (
-                    t.lanes[0].machine_index,
-                    t.lanes[0].bank_offset,
-                    t.lanes[0].banks,
-                )
+                tid: (primary.machine_index, primary.bank_offset,
+                      primary.banks)
                 for tid in self._admit_order
-                for t in [self._tenants[tid]]
-                if t.kind == "placed"
+                for primary in [self._tenants[tid].lanes[0]]
             }
 
     def describe(self) -> str:
@@ -364,20 +348,13 @@ class Cluster(MachineGroupView):
                 f"({cap} each), {self.defrag_count} defrag(s):"
             ]
             for tid in self._admit_order:
-                t = self._tenants[tid]
-                primary = t.lanes[0] if t.lanes else None
-                if t.kind == "placed" and primary is not None:
-                    where = (
-                        f"machine {primary.machine_index} banks "
-                        f"[{primary.bank_offset},"
-                        f"{primary.bank_offset + primary.banks})"
-                    )
-                else:
-                    where = (
-                        f"{t.shard_set.num_shards} private shard machine(s)"
-                    )
+                lanes = self._tenants[tid].lanes
+                primary = lanes[0]
                 lines.append(
-                    f"  {tid!r}: {where}, {len(t.lanes)} lane(s)"
+                    f"  {tid!r}: machine {primary.machine_index} banks "
+                    f"[{primary.bank_offset},"
+                    f"{primary.bank_offset + primary.banks}), "
+                    f"{len(lanes)} lane(s)"
                 )
             return "\n".join(lines)
 
@@ -386,15 +363,20 @@ class Cluster(MachineGroupView):
               lanes: Optional[int] = None) -> str:
         """Place and program one compiled kernel at runtime.
 
-        ``kernel`` is a :class:`~repro.compiler.CompiledKernel` (a
-        sharded one spans machines) or a
-        :class:`~repro.runtime.placement.TenantProgram`.  ``lanes``
+        ``kernel`` is a single-machine
+        :class:`~repro.compiler.CompiledKernel` compiled for this
+        cluster's spec (a sharded or post-processing kernel raises
+        :class:`~repro.runtime.backend.SessionError`).  ``lanes``
         requests that many initial serving lanes (defaults to the
         kernel's ``num_replicas``; extra lanes are private clones).
         Returns the tenant id (auto-generated when not given).  Raises
         :class:`~repro.runtime.placement.PlacementError` when the fleet
         cannot hold the tenant even after defragmentation.
         """
+        if lanes is None:
+            lanes = kernel.num_replicas
+        if lanes < 1:
+            raise ValueError(f"lanes must be >= 1, got {lanes}")
         with self._admit_lock:
             if self._closed:
                 raise SessionError("the cluster is shut down; no admits")
@@ -407,13 +389,9 @@ class Cluster(MachineGroupView):
                         break
             if tid in self._tenants:
                 raise SessionError(f"duplicate tenant id {tid!r}")
-            if lanes is None:
-                lanes = max(1, getattr(kernel, "num_replicas", 1))
-            tenant = self._build_tenant(tid, kernel)
-            if tenant.kind == "sharded":
-                self._admit_sharded(tenant)
-            else:
-                self._admit_placed(tenant)
+            _check_tenant(kernel, self.spec, tid)
+            tenant = _Tenant(tid, kernel)
+            self._admit_placed(tenant)
             self._tenants[tid] = tenant
             self._admit_order.append(tid)
             engine = self._engine
@@ -426,100 +404,6 @@ class Cluster(MachineGroupView):
         for _ in range(lanes - 1):
             self._add_scaled_lane(tid, reason="admit")
         return tid
-
-    def _build_tenant(self, tid: str, kernel) -> _Tenant:
-        """Normalize a kernel/program into a tenant record (unplaced)."""
-        if isinstance(kernel, TenantProgram):
-            program = TenantProgram(
-                tenant_id=tid,
-                module=kernel.module,
-                parameters=list(kernel.parameters),
-                program=kernel.program,
-                func_name=kernel.func_name,
-            )
-            return _Tenant(
-                tid, "placed", program, None, program.func_name,
-                program.plan.features,
-            )
-        spec = getattr(kernel, "spec", None)
-        if spec is not None and spec != self.spec:
-            raise SessionError(
-                f"kernel compiled for a different ArchSpec than the "
-                f"cluster's ({spec!r} vs {self.spec!r})"
-            )
-        shard_set = getattr(kernel, "shard_set", None)
-        if shard_set is not None:
-            return _Tenant(
-                tid, "sharded", None, shard_set,
-                getattr(kernel, "func_name", "forward"),
-                shard_set.features,
-            )
-        programs = getattr(kernel, "query_programs", None)
-        if not programs or len(programs) != 1 or not getattr(
-            kernel, "uses_machine", False
-        ):
-            raise SessionError(
-                f"tenant {tid!r} is not admissible: cluster tenants must "
-                "be machine-lowered kernels with exactly one similarity "
-                "program returning its (values, indices) directly"
-            )
-        program = TenantProgram(
-            tenant_id=tid,
-            module=kernel.module,
-            parameters=list(kernel.parameters),
-            program=programs[0],
-            func_name=kernel.func_name,
-        )
-        return _Tenant(
-            tid, "placed", program, None, kernel.func_name,
-            program.plan.features,
-        )
-
-    def _machines_in_use(self) -> int:
-        """Placed fleet machines: shared plus sharded tenants' privates
-        (autoscaled burst lanes are not counted)."""
-        private = sum(
-            self._tenants[tid].shard_set.num_shards
-            for tid in self._admit_order
-            if self._tenants[tid].kind == "sharded"
-        )
-        return len(self._shared_machines) + private
-
-    def _shared_budget(self) -> Optional[int]:
-        """How many shared machines plan_placement may use."""
-        if self.max_machines is None:
-            return None
-        private = self._machines_in_use() - len(self._shared_machines)
-        return max(1, self.max_machines - private)
-
-    def _admit_sharded(self, tenant: _Tenant) -> None:
-        needed = tenant.shard_set.num_shards
-        if self.max_machines is not None:
-            if self._machines_in_use() + needed > self.max_machines:
-                # Defragmenting the shared fleet may shrink it enough.
-                self._defragment()
-            if self._machines_in_use() + needed > self.max_machines:
-                raise PlacementError(
-                    f"tenant {tenant.tenant_id!r} needs {needed} "
-                    f"machine(s) but the fleet of "
-                    f"{self._machines_in_use()} is capped at "
-                    f"{self.max_machines}",
-                    self._live_demands(),
-                    self.spec,
-                    tenant_id=tenant.tenant_id,
-                )
-        backend = ShardedSession(
-            tenant.shard_set,
-            self.spec,
-            self.tech,
-            func_name=tenant.func_name,
-            noise_sigma=self.noise_sigma,
-            noise_seed=self._noise_seq.spawn(1)[0],
-            fused=self.fused,
-        )
-        tenant.lanes.append(
-            _LaneRecord(self, tenant.tenant_id, backend, threading.Lock())
-        )
 
     def _tenant_demand(self, tenant: _Tenant):
         """The tenant's bank demand, inflated by its store growth so a
@@ -539,26 +423,13 @@ class Cluster(MachineGroupView):
         demands = [
             self._tenant_demand(self._tenants[tid])
             for tid in self._admit_order
-            if self._tenants[tid].kind == "placed"
         ]
         if extra is not None:
             demands.append(self._tenant_demand(extra))
         return demands
 
     def _admit_placed(self, tenant: _Tenant) -> None:
-        demand = tenant_demand(tenant.tenant_id, tenant.program.plan,
-                               self.spec)
-        if self.spec.banks is not None and demand.banks > self.spec.banks:
-            raise PlacementError(
-                f"tenant {tenant.tenant_id!r} alone needs {demand.banks} "
-                f"bank(s) but one machine caps at {self.spec.banks}; "
-                f"compile it sharded (num_shards=None auto-shards) so it "
-                f"can span machines",
-                self._live_demands(extra=tenant),
-                self.spec,
-                tenant_id=tenant.tenant_id,
-            )
-        index = self._first_fit(demand.banks)
+        index = self._first_fit(self._tenant_demand(tenant).banks)
         if index is None and self._may_open_shared():
             self._shared_machines.append(self._fresh_machine())
             self._shared_locks.append(threading.Lock())
@@ -592,7 +463,7 @@ class Cluster(MachineGroupView):
             return not self._shared_machines
         if self.max_machines is None:
             return True
-        return self._machines_in_use() < self.max_machines
+        return len(self._shared_machines) < self.max_machines
 
     def _program_placed(
         self, tenant: _Tenant, index: int,
@@ -608,12 +479,12 @@ class Cluster(MachineGroupView):
                 f"machine holds {offset} banks"
             )
         session = QuerySession(
-            tenant.program.module,
+            tenant.kernel.module,
             self.spec,
             self.tech,
-            tenant.program.parameters,
-            tenant.program.program,
-            func_name=tenant.func_name,
+            tenant.kernel.parameters,
+            tenant.program,
+            func_name=tenant.kernel.func_name,
             noise_sigma=self.noise_sigma,
             noise_seed=self._noise_seq.spawn(1)[0],
             machine=machine,
@@ -645,14 +516,14 @@ class Cluster(MachineGroupView):
         before anything moves when it does not fit) — their compiled
         artifacts are untouched, so results stay bitwise identical —
         and ``newcomer``, when given, is placed alongside them.
-        Private (sharded / scaled) lanes keep their machines and roll
-        their accounting over without re-charging setup.
+        Scaled lanes keep their private machines and roll their
+        accounting over without re-charging setup.
         ``extra_reports`` (an evicted tenant's final lane reports) are
         folded into the closing epoch.
         """
         demands = self._live_demands(extra=newcomer)
         plan = (
-            plan_placement(demands, self.spec, self._shared_budget())
+            plan_placement(demands, self.spec, self.max_machines)
             if demands else None
         )
         locks = list(self._shared_locks)
@@ -777,7 +648,7 @@ class Cluster(MachineGroupView):
         tenant; batches its lanes are already serving finish normally
         and stay counted in the lifetime report.  A batch a lane took
         but had not started serving fails the same way.
-        With ``defragment=True`` (default) the surviving placed tenants
+        With ``defragment=True`` (default) the surviving tenants
         are re-packed onto fresh machines, reclaiming the evicted banks
         — their results stay bitwise identical.  ``defragment=False``
         leaves the survivors in place (the evicted banks stay dead
@@ -806,7 +677,7 @@ class Cluster(MachineGroupView):
                     record.stats.report() for record in tenant.lanes
                 ] + tenant.retired_lanes
             self._del_tenant(tenant_id)
-            if tenant.kind == "placed" and defragment:
+            if defragment:
                 self._defragment(extra_reports=final)
             else:
                 self._close_epoch(extra_reports=final)
@@ -864,10 +735,9 @@ class Cluster(MachineGroupView):
         The mutation lands on the tenant's primary lane under its
         machine lock (in-flight batches finish first) and mirrors onto
         every scaled lane before returning — the completion barrier
-        after which no lane serves the old store.  A placed tenant that
+        after which no lane serves the old store.  A tenant that
         outgrows its banks triggers a defragmenting **re-placement**
-        with its demand inflated by the growth (not an eviction); a
-        sharded tenant splits a new shard instead.
+        with its demand inflated by the growth (not an eviction).
         """
         return self._mutate(tenant, lambda backend: backend.insert(patterns))
 
@@ -915,14 +785,11 @@ class Cluster(MachineGroupView):
                 try:
                     result = op(backend)
                 except StoreOverflow:
-                    if tenant_rec.kind != "placed":
-                        raise
                     grow = True
                 else:
                     state = backend.store_state()
-                    groups = getattr(backend, "growth_groups", 0)
-                    shard_set = getattr(backend, "shard_set", None)
-                    banks = getattr(backend, "banks_used", None)
+                    groups = backend.growth_groups
+                    banks = backend.banks_used
             if not grow:
                 break
             self._grow_tenant(tid)
@@ -932,10 +799,7 @@ class Cluster(MachineGroupView):
             if tenant_rec is not None:
                 tenant_rec.store_state = state
                 tenant_rec.extra_groups = groups
-                if shard_set is not None and tenant_rec.kind == "sharded":
-                    tenant_rec.shard_set = shard_set
-                if banks is not None and record.machine_index is not None:
-                    record.banks = banks
+                record.banks = banks
                 scaled = list(tenant_rec.lanes[1:])
         # Completion barrier: every scaled lane adopts the new store
         # (under its own lock, so an in-flight batch drains first)
@@ -946,7 +810,7 @@ class Cluster(MachineGroupView):
         return result
 
     def _grow_tenant(self, tenant_id: str) -> None:
-        """A placed tenant's store outgrew its machine's free banks:
+        """A tenant's store outgrew its machine's free banks:
         reserve one more growth group and re-pack the fleet around it
         (re-placement, not eviction).  Raises
         :class:`~repro.runtime.placement.PlacementError` when even a
@@ -1159,41 +1023,6 @@ class Cluster(MachineGroupView):
         return merge_concurrent_reports(machines + privates)
 
     # ------------------------------------------------------------ lifecycle
-    def reset(self) -> None:
-        """Re-place and re-program every tenant on fresh machines and
-        restart all accounting (epochs, autoscale history, lanes).
-        Pending submitted futures fail with
-        :class:`~repro.runtime.backend.ClusterShutdown`."""
-        with self._admit_lock:
-            sources = [(tid, self._tenants[tid])
-                       for tid in self._admit_order]
-            engine = self._engine
-            self._engine = None
-            self._shared_machines = []
-            self._shared_locks = []
-            self._tenants = {}
-            self._admit_order = []
-            self._closed_epochs = []
-            self.autoscale_events = []
-            self.defrag_count = 0
-            self.last_report = None
-            self.batches_run = 0
-        # Outside the control-plane lock: the engine's workers may be
-        # blocked on it in their completion callback, and shutdown joins
-        # them.
-        if engine is not None:
-            engine.shutdown(abort=True)
-        for tid, tenant in sources:
-            if tenant.kind == "placed":
-                self.admit(tenant.program, tenant_id=tid)
-            else:
-                shim = _ShardedSource(tenant.shard_set, self.spec,
-                                      self.tech, tenant.func_name)
-                self.admit(shim, tenant_id=tid)
-            state = tenant.store_state
-            if state is not None:
-                self._mutate(tid, lambda backend: backend.restore(state))
-
     def shutdown(self, wait: bool = True, abort: bool = False) -> None:
         """Stop serving.  ``wait=True`` drains every submitted future;
         ``abort=True`` fails still-pending futures with
@@ -1232,14 +1061,3 @@ class Cluster(MachineGroupView):
             })
         return base
 
-
-class _ShardedSource:
-    """A minimal kernel-shaped carrier for re-admitting a shard set
-    (the reset path) without recompiling anything."""
-
-    def __init__(self, shard_set: ShardSet, spec, tech, func_name):
-        self.shard_set = shard_set
-        self.spec = spec
-        self.tech = tech
-        self.func_name = func_name
-        self.num_replicas = 1

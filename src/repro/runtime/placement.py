@@ -17,12 +17,12 @@ applications onto one shared runtime with honest per-app accounting:
   :class:`PlacementError` (a :class:`CapacityError`) naming the tenant
   and its bank demand, with a per-tenant breakdown — never a silent
   spill.
-* **shared programming** — :class:`TenantProgram` carries one tenant's
-  compiled artifacts; the :class:`~repro.runtime.cluster.Cluster`
-  programs each tenant onto its planned banks of a shared machine
-  (each tenant's setup walk allocates its own fresh banks, so tenants
-  occupy disjoint fabric) and serves per-tenant
-  ``run_batch(Q, tenant=...)`` whose results are **bitwise
+* **shared programming** — the
+  :class:`~repro.runtime.cluster.Cluster` programs each tenant, one
+  single-machine :class:`~repro.compiler.CompiledKernel`, onto its
+  planned banks of a shared machine (each tenant's setup walk allocates
+  its own fresh banks, so tenants occupy disjoint fabric) and serves
+  per-tenant ``run_batch(Q, tenant=...)`` whose results are **bitwise
   identical** to the tenant running alone on a private machine:
   match-line scores are row-local and each tenant searches and reads
   only its own subarray range.
@@ -41,20 +41,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.arch.spec import ArchSpec
-from repro.ir.module import ModuleOp
 from repro.transforms.partitioning import CapacityError, PartitionPlan
-
-from .session import QueryProgram
 
 __all__ = [
     "PlacementError",
     "PlacementPlan",
     "TenantAssignment",
     "TenantDemand",
-    "TenantProgram",
     "plan_placement",
     "tenant_demand",
 ]
@@ -441,25 +435,3 @@ def _realize_plan(
         num_machines=len(groups),
         banks_per_machine=capacity,
     )
-
-
-# ---------------------------------------------------------------- tenants
-@dataclass
-class TenantProgram:
-    """One tenant's compiled artifacts, ready to program anywhere.
-
-    ``module`` is the fully lowered (cam-dialect) module, ``program``
-    the query-phase structure its session replays, ``parameters`` the
-    captured arrays (the stored patterns).  Everything is reusable:
-    programming the tenant onto a machine re-runs only the setup walk.
-    """
-
-    tenant_id: str
-    module: ModuleOp
-    parameters: List[np.ndarray]
-    program: QueryProgram
-    func_name: str = "forward"
-
-    @property
-    def plan(self) -> PartitionPlan:
-        return self.program.plan

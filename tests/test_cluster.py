@@ -1,9 +1,9 @@
 """The cluster control plane: lifecycle, dispatch, autoscaling, reports.
 
 Covers :class:`~repro.runtime.cluster.Cluster` — runtime
-``admit``/``evict`` with defragmenting re-placement, sharded-tenant
-placement, the priority/deadline intake
-(:class:`~repro.runtime.serving.PriorityIntake`), queue-depth
+``admit``/``evict`` with defragmenting re-placement, the admission
+contract (one single-machine kernel per tenant), the priority/deadline
+intake (:class:`~repro.runtime.serving.PriorityIntake`), queue-depth
 autoscaling and epoch-aware accounting
 (:func:`~repro.simulator.metrics.combine_epoch_reports`), including
 the batches an evicted tenant's lanes were serving.
@@ -27,7 +27,7 @@ from repro.runtime.placement import PlacementError
 from repro.runtime.serving import PriorityIntake
 
 #: A tiny machine: one bank of 64 rows at 32 features, so modest stores
-#: exercise multi-machine placement and sharding cheaply.
+#: exercise multi-machine placement (and auto-sharding) cheaply.
 TINY = ArchSpec(rows=16, cols=32, subarrays_per_array=2, arrays_per_mat=2,
                 mats_per_bank=1, banks=1)
 
@@ -97,16 +97,60 @@ class TestAdmission:
             cluster.admit(kernel)
 
     def test_oversized_unsharded_tenant_names_fix(self, dot_kernel, rng):
-        """A raw TenantProgram too big for one machine is refused with
-        the sharded-compile advice (a compiled kernel auto-shards)."""
+        """A kernel too big for one machine auto-shards at compile time;
+        admit refuses it with the tenant named and the single-machine
+        fix, before anything is placed."""
         big = rng.choice([-1.0, 1.0], (100, 32)).astype(np.float32)
         kernel = compile_dot(dot_kernel, big, spec=TINY)
         assert kernel.num_shards > 1  # compile() auto-sharded it
         cluster = Cluster(TINY)
-        cluster.admit(kernel, tenant_id="big")
-        assert cluster.tenant_lanes("big") == 1
-        # The sharded tenant spans its own private machines.
-        assert cluster.num_machines == kernel.num_shards
+        with pytest.raises(SessionError, match="'big' is not placeable") as err:
+            cluster.admit(kernel, tenant_id="big")
+        assert "num_shards=1" in str(err.value)
+        assert cluster.tenant_ids == [] and cluster.num_machines == 0
+
+    def test_post_processing_kernel_refused(self):
+        """Regression: admit checked only the program count, so a model
+        that post-processes its similarity outputs was served its raw
+        match-line values.  The cluster now refuses it, as compile_many
+        does."""
+        import repro.frontend.torch_api as torch
+
+        rng = np.random.default_rng(0)
+        stored = rng.choice([-1.0, 1.0], (6, 32)).astype(np.float32)
+        query = rng.choice([-1.0, 1.0], (1, 32)).astype(np.float32)
+
+        class PostProcessed(torch.Module):
+            def __init__(self):
+                self.weight = torch.tensor(stored)
+
+            def forward(self, input):
+                others = self.weight.transpose(-2, -1)
+                matmul = torch.matmul(input, others)
+                values, indices = torch.ops.aten.topk(matmul, 1, largest=True)
+                return torch.sub(values, values), indices
+
+        spec = replace(dse_spec(16), banks=2)
+        kernel = C4CAMCompiler(spec).compile(
+            PostProcessed(), [placeholder((1, 32))]
+        )
+        values, _indices = kernel(query)
+        np.testing.assert_array_equal(values, [[0.0]])
+        cluster = Cluster(spec)
+        with pytest.raises(SessionError, match="not placeable"):
+            cluster.admit(kernel, tenant_id="post")
+        assert cluster.tenant_ids == [] and cluster.num_machines == 0
+
+    @pytest.mark.parametrize("lanes", [0, -2])
+    def test_nonpositive_lanes_rejected(self, dot_kernel, stores, lanes):
+        """Regression: ``lanes`` below 1 silently served one lane."""
+        spec = replace(dse_spec(16), banks=2)
+        cluster = Cluster(spec)
+        with pytest.raises(ValueError, match="lanes must be >= 1"):
+            cluster.admit(
+                compile_dot(dot_kernel, stores[0], spec=spec), lanes=lanes
+            )
+        assert cluster.tenant_ids == [] and cluster.num_machines == 0
 
     def test_machine_cap_enforced(self, dot_kernel, rng):
         spec = TINY
@@ -560,7 +604,7 @@ class TestServingTrace:
 
 
 # --------------------------------------------------------------------------
-# Lifecycle: shutdown, reset, clone, context manager
+# Lifecycle: shutdown, context manager, reports
 # --------------------------------------------------------------------------
 class TestLifecycle:
     def test_shutdown_abort_delivers_cluster_shutdown(self, dot_kernel,
@@ -590,22 +634,6 @@ class TestLifecycle:
             cluster.admit(
                 compile_dot(dot_kernel, stores[1], spec=spec)
             )
-
-    def test_reset_reprograms_and_clears_accounting(self, dot_kernel,
-                                                    stores, rng):
-        spec = replace(dse_spec(16), banks=2)
-        cluster = Cluster(spec)
-        cluster.admit(
-            compile_dot(dot_kernel, stores[0], k=2, spec=spec),
-            tenant_id="t",
-        )
-        queries = rng.standard_normal((3, 64)).astype(np.float32)
-        before = cluster.run_batch(queries, tenant="t")
-        cluster.reset()
-        assert cluster.report().queries == 0
-        after = cluster.run_batch(queries, tenant="t")
-        for x, y in zip(before, after):
-            np.testing.assert_array_equal(x, y)
 
     def test_context_manager_drains(self, dot_kernel, stores, rng):
         spec = replace(dse_spec(16), banks=2)
@@ -660,52 +688,3 @@ class TestLifecycle:
         )
         assert setup.setup_latency_ns == shared
 
-
-# --------------------------------------------------------------------------
-# Entry points
-# --------------------------------------------------------------------------
-class TestEntryPoints:
-    def test_from_kernels(self, dot_kernel, stores):
-        spec = replace(dse_spec(16), banks=2)
-        kernels = [
-            compile_dot(dot_kernel, stored, spec=spec) for stored in stores
-        ]
-        cluster = Cluster.from_kernels(kernels, tenant_ids=["x", "y", "z"])
-        assert cluster.tenant_ids == ["x", "y", "z"]
-        assert cluster.spec == spec
-        with pytest.raises(ValueError, match="tenant ids"):
-            Cluster.from_kernels(kernels, tenant_ids=["only-one"])
-
-    def test_compile_cluster(self, dot_kernel, stores, rng):
-        spec = replace(dse_spec(16), banks=2)
-        compiler = C4CAMCompiler(spec)
-        cluster = compiler.compile_cluster(
-            [dot_kernel(stored, k=1) for stored in stores[:2]],
-            [[placeholder((1, 64))] for _ in stores[:2]],
-            tenant_ids=["a", "b"],
-            max_machines=2,
-        )
-        assert cluster.tenant_ids == ["a", "b"]
-        queries = rng.standard_normal((2, 64)).astype(np.float32)
-        values, indices = cluster.run_batch(queries, tenant="b")
-        solo = compile_dot(dot_kernel, stores[1], spec=spec)
-        np.testing.assert_array_equal(indices, solo.run_batch(queries)[1])
-        cluster.shutdown()
-
-    def test_tenant_pool_cluster(self, stores, rng):
-        from repro.apps import TenantPool
-
-        spec = replace(dse_spec(16), banks=2)
-        pool = TenantPool(spec)
-        pool.add("faces", stores[0], k=1)
-        pool.add("spam", stores[1], k=2)
-        with pool.cluster() as cluster:
-            assert cluster.tenant_ids == ["faces", "spam"]
-            future = cluster.submit(
-                rng.standard_normal(64), tenant="spam", priority=1
-            )
-            values, indices = future.result(timeout=30)
-            assert indices.shape == (1, 2)
-            cluster.evict("faces")
-            assert cluster.tenant_ids == ["spam"]
-        assert not pool.is_open  # the pool itself stayed closed

@@ -629,8 +629,8 @@ def test_fused_split_matches_unfused_oracle(
 
 
 def test_fused_cluster_matches_unfused_oracle():
-    """A cluster admitted with fused=False is the oracle for the default
-    fused control plane, across placed and sharded tenants."""
+    """A cluster built with fused=False is the oracle for the default
+    fused control plane."""
     rng = np.random.default_rng(77)
     stored = rng.choice([-1.0, 1.0], (24, 64)).astype(np.float32)
     queries = rng.choice([-1.0, 1.0], (6, 64)).astype(np.float32)
@@ -640,7 +640,7 @@ def test_fused_cluster_matches_unfused_oracle():
     results = {}
     for fused in (True, False):
         compiler = C4CAMCompiler(spec)
-        cluster = compiler.compile_cluster(
+        cluster = compiler.compile_many(
             [_dot_model(stored, 3)], [example], tenant_ids=["t0"],
             fused=fused,
         )

@@ -252,8 +252,6 @@ class TestMutationInvariants:
             assert cluster.defrag_count > defrags
             by_machine = {}
             for tenant in cluster._tenants.values():
-                if tenant.kind != "placed":
-                    continue
                 rec = tenant.lanes[0]
                 by_machine.setdefault(rec.machine_index, []).append(
                     (rec.bank_offset, rec.bank_offset + rec.banks)

@@ -2,9 +2,9 @@
 
 Covers the placement planner (first-fit-decreasing packing, overflow
 diagnostics), the ``compile_many`` cluster (planned spans, disjoint
-fabric, bitwise isolation, re-placement on reset), per-tenant vs. fleet
-accounting, extra lanes and async serving over a multi-tenant fleet,
-the ``TenantPool`` app and the CLI ``--tenants`` demo.  The randomized
+fabric, bitwise isolation), per-tenant vs. fleet accounting, extra
+lanes and async serving over a multi-tenant fleet, the ``TenantPool``
+app and the CLI ``--tenants``/``--cluster`` demos.  The randomized
 bitwise-isolation guarantee itself lives in ``test_differential.py``.
 """
 
@@ -16,6 +16,7 @@ import pytest
 from repro.arch import dse_spec
 from repro.compiler import C4CAMCompiler
 from repro.frontend import placeholder
+from repro.runtime import Cluster
 from repro.runtime.placement import (
     PlacementError,
     TenantDemand,
@@ -377,33 +378,6 @@ class TestColocatedTenants:
             rtol=1e-12,
         )
 
-    def test_reset_evicts_and_reprograms(self, fleet, rng):
-        _compiler, stores, cluster = fleet
-        queries = rng.choice([-1.0, 1.0], (2, 32)).astype(np.float32)
-        first = cluster.run_batch(queries, tenant="b")
-        machines_before = [id(m) for m in cluster.machines]
-        cluster.reset()
-        assert [id(m) for m in cluster.machines] != machines_before
-        assert cluster.batches_run == 0
-        again = cluster.run_batch(queries, tenant="b")
-        np.testing.assert_array_equal(first[0], again[0])
-        np.testing.assert_array_equal(first[1], again[1])
-        # Accounting restarted: exactly one batch on the lane.
-        assert cluster.tenant_report("b").queries == 2
-
-    def test_kernel_reset_restarts_placement(self, fleet, rng):
-        """reset() re-places onto the planned spans (programming order
-        is the admission order) and restarts every tenant's accounting."""
-        _compiler, _stores, cluster = fleet
-        queries = rng.choice([-1.0, 1.0], (2, 64)).astype(np.float32)
-        cluster.run_batch(queries, tenant="a")
-        spans = cluster.bank_spans()
-        cluster.reset()
-        assert cluster.bank_spans() == spans
-        assert cluster.defrag_count == 0
-        assert cluster.tenant_report("a").queries == 0
-        assert cluster.report().queries == 0
-
     def test_unknown_tenant_rejected(self, fleet):
         _compiler, _stores, cluster = fleet
         with pytest.raises(SessionError, match="no tenant 'zz'"):
@@ -617,10 +591,15 @@ class TestCompileMany:
             np.testing.assert_array_equal(got[0], alone[0])
             np.testing.assert_array_equal(got[1], alone[1])
 
-        # The same kernels admitted in submission order first-fit onto
-        # three machines.
-        submitted = compiler.compile_cluster(models, examples, tenant_ids=ids)
-        assert len({m for m, _o, _b in submitted.bank_spans().values()}) == 3
+        # The same kernels admitted one by one in submission order
+        # first-fit onto three machines.
+        submitted = Cluster(spec)
+        for tid, model, example in zip(ids, models, examples):
+            submitted.admit(
+                compiler.compile(model, example, num_shards=1), tenant_id=tid
+            )
+        assert submitted.num_machines == 3
+        assert submitted.defrag_count == 0
 
 
 # ------------------------------------------------------------- TenantPool
@@ -696,11 +675,15 @@ def test_cli_tenants_demo(capsys):
 
 
 def test_cli_tenants_overflow_is_friendly(capsys):
+    """A store beyond one machine is refused by both fleet demos, with
+    the tenant and its bank demand named (tenants are never sharded)."""
     from repro.cli import main
 
-    assert main([
-        "--tenants", "2", "--banks", "1", "--patterns", "400",
-        "--dims", "1024", "--queries", "1",
-    ]) == 1
-    err = capsys.readouterr().err
-    assert "error:" in err and "bank" in err
+    for mode in ("--tenants", "--cluster"):
+        assert main([
+            mode, "2", "--banks", "1", "--patterns", "400",
+            "--dims", "1024", "--queries", "1",
+        ]) == 1, mode
+        err = capsys.readouterr().err
+        assert "error:" in err and "bank" in err
+        assert "tenant 'tenant0' alone needs 4 bank(s)" in err

@@ -89,7 +89,8 @@ class TenantPool:
 
     @property
     def is_open(self) -> bool:
-        return self._cluster is not None
+        """Whether the pool's cluster is placed and not shut down."""
+        return self._cluster is not None and not self._cluster.closed
 
     def add(
         self,
@@ -100,7 +101,7 @@ class TenantPool:
     ) -> "TenantPool":
         """Register one tenant: a ``P×D`` store answering top-``k``
         dot-similarity queries.  Returns ``self`` for chaining."""
-        if self._cluster is not None:
+        if self.is_open:
             raise RuntimeError(
                 "the pool is already open; reset() before adding tenants"
             )
@@ -122,9 +123,11 @@ class TenantPool:
         Returns the underlying :class:`~repro.runtime.cluster.Cluster`.
         Keyword arguments (``max_batch``, ``max_wait``, ``time_scale``,
         …) configure it on the opening call; reconfiguring an open pool
-        raises — :meth:`reset` first.
+        raises — :meth:`reset` first.  A pool whose cluster was shut
+        down (say, by ``with pool.open() as cluster:``) re-places and
+        re-programs every tenant, as after :meth:`reset`.
         """
-        if self._cluster is not None:
+        if self.is_open:
             if cluster_kwargs:
                 raise RuntimeError(
                     "the pool is already open; reset() before "

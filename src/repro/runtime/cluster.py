@@ -380,11 +380,11 @@ class Cluster(MachineGroupView):
         with self._admit_lock:
             if self._closed:
                 raise SessionError("the cluster is shut down; no admits")
-            tid = tenant_id
+            tid, drawn = tenant_id, self._admit_counter
             if tid is None:
                 while True:
-                    tid = f"tenant{self._admit_counter}"
-                    self._admit_counter += 1
+                    tid = f"tenant{drawn}"
+                    drawn += 1
                     if tid not in self._tenants:
                         break
             if tid in self._tenants:
@@ -392,6 +392,8 @@ class Cluster(MachineGroupView):
             _check_tenant(kernel, self.spec, tid)
             tenant = _Tenant(tid, kernel)
             self._admit_placed(tenant)
+            # A refused admit leaves the auto-generated id sequence.
+            self._admit_counter = drawn
             self._tenants[tid] = tenant
             self._admit_order.append(tid)
             engine = self._engine
@@ -722,9 +724,13 @@ class Cluster(MachineGroupView):
         The primary lane is the one lane the autoscaler never retires,
         so a synchronous batch can never race a scale-down into
         orphaned accounting; scaled lanes serve the async path only.
+        Raises :class:`~repro.runtime.backend.SessionError` once the
+        cluster is shut down.
         """
         tid = self._resolve_tenant(tenant)
         with self._admit_lock:
+            if self._closed:
+                raise SessionError("the cluster is shut down; no batches")
             record = self._require(tid).lanes[0]
         return record.serve(np.asarray(queries, dtype=np.float64))
 
@@ -1023,11 +1029,16 @@ class Cluster(MachineGroupView):
         return merge_concurrent_reports(machines + privates)
 
     # ------------------------------------------------------------ lifecycle
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`shutdown` has run."""
+        return self._closed
+
     def shutdown(self, wait: bool = True, abort: bool = False) -> None:
         """Stop serving.  ``wait=True`` drains every submitted future;
         ``abort=True`` fails still-pending futures with
         :class:`~repro.runtime.backend.ClusterShutdown`.  Idempotent;
-        the cluster refuses admits and submits afterwards."""
+        the cluster refuses admits, batches and submits afterwards."""
         with self._admit_lock:
             self._closed = True
             engine = self._engine

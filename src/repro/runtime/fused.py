@@ -15,65 +15,70 @@ per-stage Python dispatch:
   slot-indexed arrays for the session's slot capacity and refreshes
   every slot: it reads the *machine's* stored tiles (the same
   ``SubarrayState`` rows a search would gather) into one contiguous
-  matrix per column slice, row ``s`` holding slot ``s``, and precomputes
-  every per-query energy charge the unfused walk would make, in the same
-  order;
-* **plan** — per-column-slice stores, the per-tile charge schedule, the
-  live-slot set, the top-k configuration;
+  matrix per column slice, row ``s`` holding slot ``s``, writes the
+  slots' BLAS operands (one column slice at a time for Euclidean and
+  dot), and precomputes every per-query energy charge the unfused walk
+  would make, in the same order;
+* **plan** — per-column-slice stores, the BLAS operands, the per-tile
+  charge schedule, the live-slot set, the top-k configuration;
 * **execute** — :meth:`FusedPlan.execute` scores a whole ``B×D`` batch
-  against every slot with one
-  :func:`~repro.simulator.cells.store_scorer` per column slice,
-  gathers the live slots, applies the charge schedule (scalar
+  against the live slots (exactly, pruned, or through the full
+  per-slice loop; see below), applies the charge schedule (scalar
   multiply-adds into the live machine counters), and selects the
   per-query top-k directly through
   :func:`~repro.simulator.peripherals.best_match_batch`.
 
-**Multi-core scoring.**  A generic-path batch (one that the exact
-rewrite does not take) large enough that every share carries at least
-:data:`_SPLIT_TERMS` per-cell terms is cut into near-equal contiguous
-row shares, one per CPU the process may use, two at most
-(:data:`_CPUS`).  Each slice's store is prepared once per batch, so a
-share costs only its own rows.  The caller scores the first share; each
-other share goes to an idle thread of a process-wide pool, or stays
-with the caller when none is idle (or when the interpreter is exiting
-and the pool takes no new work), so a batch never waits behind another
-session's share.  Every share writes its own rows of one score matrix,
-and the gather, charges, top-k and trace record run on the caller after
-the join.  Every metric scores each query row on its own, through the
-same per-slice float order, so a split batch is bitwise the unsplit
-one.
+**Three ways to score.**  Every way yields the live slots' scores that
+can reach the top-k bit for bit as the full per-slice loop computes
+them, so the top-k, its raw values and every charge are unchanged:
+
+* *exact* — when every stored and query value passes the exact gate
+  (see :meth:`FusedPlan._refresh_operands`), the scores are BLAS matrix
+  products, exact in any summation order;
+* *pruned* — otherwise a Euclidean or dot batch is bounded first.  The
+  same products give every live slot's ``approx`` within ``err =
+  (n+8)·(2⁻⁵⁰·scale + 2⁻¹⁰⁷⁰)`` of the loop's score, ``n`` being the
+  feature count and ``scale`` = Σs² + Σq² over the valid cells (dot:
+  Σs² + ‖q‖²), whatever order the BLAS sums in.  Per query, ``τ`` is
+  the k-th best pessimistic bound (distance: the k-th smallest
+  ``approx + err``; dot: the k-th largest ``approx − err``); only the
+  slots whose optimistic bound reaches ``τ`` can win, and only those
+  (query, slot) pairs are rescored through
+  :func:`~repro.simulator.cells.pair_scores`, in the loop's two-level
+  order.  Every other slot scores ``±inf``, which sorts after every
+  winner.  ``docs/performance.md`` derives the bound;
+* *full* — the per-slice loop over every slot serves the batch when a
+  bound is not finite, when ``k`` is not below the live-slot count, or
+  when a Hamming batch misses the exact gate.
 
 **Bitwise-identity guarantee.**  A fused run returns the same
 ``[values, indices]`` bit for bit as the unfused session walk, and its
 :class:`~repro.simulator.metrics.ExecutionReport` charges identical
-energy and latency: every slot's score is the unfused per-column-slice
-(and, density-stacked, per-subarray) float sum in the same order, and
-the live-slot gather keeps the walk's slot order; the top-k is the same
-stable argsort with the same WTA clamp; every energy counter receives
-the same sequence of ``+=`` operands.  The unfused path stays in the
-tree as the differential oracle (``tests/test_differential.py``,
-``tests/test_mutation_differential.py``).
+energy and latency: every slot's score that reaches the top-k is the
+unfused per-column-slice (and, density-stacked, per-subarray) float sum
+in the same order, and the live-slot gather keeps the walk's slot order;
+the top-k is the same stable argsort with the same WTA clamp; every
+energy counter receives the same sequence of ``+=`` operands.  The
+unfused path stays in the tree as the differential oracle
+(``tests/test_differential.py``, ``tests/test_mutation_differential.py``).
 
 **Refresh.**  A mutation (insert/delete/update/compact) programs only
 the rows it touches, and the plan follows the machine the same way: the
 owning session records the slots it writes or erases and marks its plan
 stale, and the next ``run_batch`` calls :meth:`FusedPlan.refresh`.  The
 refresh re-reads only the touched rows, checks their valid bits against
-the session's slot directory, rewrites their exact-rewrite operand
-columns, and recomputes the charge schedule, live-slot set and top-k
-charge.  A full trace is a refresh of every slot, so a refreshed plan
-equals a fresh trace byte for byte; a capacity change (``grow``)
-re-allocates and refreshes every slot.  Fusion is bypassed when device
-noise is enabled (noise draws are per-machine-call, which only the
-unfused walk reproduces) or when a row's valid bits disagree with the
-slot directory (defensive: never serve rows the hardware would not).
+the session's slot directory, rewrites their operand columns, and
+recomputes the charge schedule, live-slot set and top-k charge.  A full
+trace is a refresh of every slot, so a refreshed plan equals a fresh
+trace byte for byte; a capacity change (``grow``) re-allocates and
+refreshes every slot.  Fusion is bypassed when device noise is enabled
+(noise draws are per-machine-call, which only the unfused walk
+reproduces) or when a row's valid bits disagree with the slot directory
+(defensive: never serve rows the hardware would not).
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
@@ -81,6 +86,7 @@ import numpy as np
 from repro.simulator.cells import (
     BLOCK_ELEMENTS,
     METRIC_FUNCTIONS,
+    pair_scores,
     store_scorer,
 )
 from repro.simulator.peripherals import best_match_batch
@@ -95,65 +101,11 @@ __all__ = ["FusedPlan", "build_fused_plan"]
 #: single bit.
 _EXACT_MAX = float(1 << 20)
 _EXACT_MAX_FEATURES = 1 << 12
-_EXACT_METRICS = ("hamming", "euclidean", "dot")
-
-#: The most row shares a generic batch is cut into: one per CPU this
-#: process may run on, but at most two, the most the split has been
-#: measured on (every further share adds a thread wake-up and more
-#: hand-offs of the GIL, which more CPUs need not repay).
-_CPUS = min(2, (
-    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1
-))
-#: Per-cell terms (rows × slots × features) each row share must carry:
-#: 64 scoring blocks, about four milliseconds of generic scoring on a
-#: 2-CPU Xeon host.  A split pays a pool thread's wake-up and the GIL
-#: hand-offs between the two threads' NumPy calls; on that host, shares
-#: of 16 or 32 blocks at times lost to the unsplit batch while a
-#: knn-sized one won, and shares of 64 did not.
-_SPLIT_TERMS = 64 * BLOCK_ELEMENTS
-#: ``(executor, idle)``: the scoring pool of ``_CPUS - 1`` threads and
-#: a semaphore counting its idle ones, made on the first split.  One
-#: pool serves every plan in the process, so however many sessions score
-#: at once, splitting adds at most ``_CPUS - 1`` threads.
-_pool = None
-_pool_lock = threading.Lock()
-
-
-def _scoring_pool():
-    """The process-wide scoring pool, made on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = (
-                ThreadPoolExecutor(
-                    _CPUS - 1, thread_name_prefix="fused-scoring"
-                ),
-                threading.Semaphore(_CPUS - 1),
-            )
-        return _pool
-
-
-def _forget_pool() -> None:
-    """Fork handler: a forked child inherits the pool object but none of
-    its threads, so a share handed to it would never run."""
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _pool_share(plan, scorers, queries, out, idle) -> None:
-    """Pool task: score one row share, then mark its thread idle —
-    before the future's result is set, so that the caller's next batch
-    already finds the thread free."""
-    try:
-        plan._score_rows(scorers, queries, out)
-    finally:
-        idle.release()
+#: The pruning bound's relative and absolute (underflow) terms, per
+#: feature plus eight: twice what the rounding of both scores can add
+#: up to (``docs/performance.md``).
+_BOUND_REL = 2.0 ** -50
+_BOUND_ABS = 2.0 ** -1070
 
 
 class FusedPlan:
@@ -184,6 +136,7 @@ class FusedPlan:
         "merge_charges",
         "host_energy",
         "exact",
+        "operands",
         "_units",
         "_columns",
         "_ok",
@@ -247,23 +200,35 @@ class FusedPlan:
         self.capacity = capacity
         self.features = features
         self._units = units
-        #: Exact-arithmetic matmul rewrite of the metric, or ``None``
-        #: (see :meth:`_refresh_exact`); gated per batch on the query
-        #: values, with the per-slice loop as the always-correct
-        #: fallback.
+        #: Whole stores, one per column span: the spans cover
+        #: [0, features) exactly once (one tile per column slice).
+        self._columns = columns
+        #: The exact gate's key (see :meth:`_refresh_operands`): ``(a,
+        #: b)`` while the live store passes it (``a``/``b`` the Hamming
+        #: alphabet, zeros otherwise), else ``None``.
         self.exact = None
-        self._columns = None
-        if self.metric in _EXACT_METRICS and features <= _EXACT_MAX_FEATURES:
-            # The column spans cover [0, features) exactly once (one
-            # tile per column slice), so whole rows assemble from them.
-            # Per-slot gate state: whether the row passes the gate on its
-            # own, and (Hamming) its smallest and largest stored value.
-            # Dead slots are neutral (True, NaN, NaN): the gate counts
-            # live rows only.
-            self._columns = columns
-            self._ok = np.ones(capacity, dtype=bool)
+        #: ``(base, VT, AT)``, one entry or column per slot: the BLAS
+        #: operands of the exact rewrite and of the pruning bound.  Kept
+        #: for every Euclidean and dot plan (``VT`` is ``None`` for dot);
+        #: for Hamming they depend on the alphabet and exist only while
+        #: the gate holds.
+        self.operands = None
+        # Per-slot gate state: whether the row passes the gate on its
+        # own, and (Hamming) its smallest and largest stored value.
+        # Dead slots are neutral (True, NaN, NaN): the gate counts live
+        # rows only.
+        self._ok = np.ones(capacity, dtype=bool)
+        self._lo = self._hi = None
+        if self.metric == "hamming":
             self._lo = np.full(capacity, np.nan)
             self._hi = np.full(capacity, np.nan)
+        else:
+            shape = (features, capacity)
+            self.operands = (
+                np.zeros(capacity),
+                np.zeros(shape) if self.metric == "euclidean" else None,
+                np.zeros(shape),
+            )
 
     # ------------------------------------------------------------ refresh
     def refresh(self, session, slots: Iterable[int]) -> bool:
@@ -293,10 +258,58 @@ class FusedPlan:
                 store[sel], valid[j] = sub.row_contents(rows, store.shape[1])
             if not (valid == alive[sel]).all():
                 return False
-        if self._columns is not None and slots.size:
-            self._refresh_exact(slots, alive[slots])
+        if slots.size:
+            self._refresh_operands(slots, alive[slots])
         self._schedule(session)
         return True
+
+    def _refresh_operands(self, slots: np.ndarray, alive: np.ndarray) -> None:
+        """Re-gate the exact rewrite and rewrite ``slots``' operands.
+
+        CAM match scores are sums of per-cell terms, and each metric
+        rewrites into BLAS matrix products over per-slot operands:
+
+        * ``hamming`` over a two-value stored alphabet ``{a, b}``:
+          per-cell mismatch is ``sb XOR qb = sb + qb - 2·sb·qb`` on the
+          ``== b`` indicators, so ``counts = base + qb@VT - 2·(qb@AT)``;
+        * ``euclidean``: ``(s-q)² = s² - 2sq + q²``, so ``dist = base +
+          q²@VT - 2·(q@AT)``;
+        * ``dot``: ``sim = q@AT`` (``base`` = Σs² scales its bound).
+
+        Don't-care cells drop out through the valid mask ``VT``.
+        Whenever every term is an exact float64 integer, addition is
+        associative *bit for bit*, so the products equal the per-slice
+        loop's scores: that is the exact gate, two values per row for
+        Hamming and small integers for the others, checked over the
+        live rows.  Euclidean and dot operands are kept whether or not
+        the store passes, because they bound every score (see the module
+        notes); they are written one column slice at a time, so each
+        slice's block stays in cache.
+        """
+        if self.metric == "hamming":
+            self._refresh_hamming(slots, alive)
+            return
+        cols = slice(None) if slots.size == self.capacity else slots
+        base, vt, at = self.operands
+        ok = np.ones(slots.size, dtype=bool)
+        squares = np.zeros(slots.size)
+        for c0, c1, store in self._columns:
+            block = store[cols]
+            valid = block == block         # False exactly at NaN
+            cleaned = block if valid.all() else np.where(valid, block, 0.0)
+            if ok.any():                   # an analog store fails at once
+                ok &= (
+                    (cleaned == np.rint(cleaned))
+                    & (np.abs(cleaned) <= _EXACT_MAX)
+                ).all(axis=1)
+            at[c0:c1, cols] = cleaned.T
+            if vt is not None:
+                vt[c0:c1, cols] = valid.T
+            squares += (cleaned * cleaned).sum(axis=1)
+        base[cols] = squares
+        ok[~alive] = True
+        self._ok[slots] = ok
+        self.exact = self._gate()
 
     def _rows(self, slots: np.ndarray) -> np.ndarray:
         """Whole stored rows of ``slots``, assembled from the slices."""
@@ -305,86 +318,51 @@ class FusedPlan:
             rows[:, c0:c1] = store[slots]
         return rows
 
-    def _refresh_exact(self, slots: np.ndarray, alive: np.ndarray) -> None:
-        """Re-gate the exact rewrite and rewrite ``slots``' operands.
-
-        CAM match scores are sums of per-cell terms.  Whenever every term
-        is an exact float64 integer, addition is associative *bit for
-        bit*, so the per-tile accumulation order the generic path
-        preserves stops mattering and the whole score matrix collapses
-        into BLAS matmuls:
-
-        * ``hamming`` over a two-value stored alphabet ``{a, b}``:
-          per-cell mismatch is ``sb XOR qb = sb + qb - 2·sb·qb`` on the
-          ``== b`` indicators, so ``counts = base + qb@V - 2·(qb@A)``;
-        * ``euclidean`` over integer codes: ``(s-q)² = s² - 2sq + q²``,
-          so ``dist = base + q²@V - 2·(q@A)``;
-        * ``dot`` over integer codes: ``sim = q@A``.
-
-        Don't-care cells drop out through the valid mask ``V``.  The
-        gate runs over the live rows only and before any operand is
-        built, so a store that fails it (every analog one) costs only
-        the check; ``exact`` is then ``None``.  Otherwise it is
-        ``(metric, a, b, base, VT, AT)``, one column per slot.  A store
-        that newly passes the gate, or whose Hamming alphabet changed,
-        rewrites every column; otherwise only ``slots``' columns change.
-        """
+    def _refresh_hamming(self, slots: np.ndarray, alive: np.ndarray) -> None:
+        """The Hamming half of :meth:`_refresh_operands`.  Its operands
+        depend on the alphabet, so a store that newly passes the gate,
+        or whose alphabet changed, rewrites every column, and one that
+        fails drops them."""
         rows = self._rows(slots)
-        valid = rows == rows           # False exactly at NaN (don't-care)
-        if self.metric == "hamming":
-            # fmin/fmax skip NaN, so an all-don't-care row is NaN: neutral.
-            lo = np.fmin.reduce(rows, axis=1)
-            hi = np.fmax.reduce(rows, axis=1)
-            ok = (
-                (rows == lo[:, None]) | (rows == hi[:, None]) | ~valid
-            ).all(axis=1)
-            lo[~alive] = np.nan
-            hi[~alive] = np.nan
-            self._lo[slots] = lo
-            self._hi[slots] = hi
-        else:
-            ok = (
-                ~valid
-                | ((rows == np.rint(rows)) & (np.abs(rows) <= _EXACT_MAX))
-            ).all(axis=1)
+        valid = rows == rows               # False exactly at NaN
+        # fmin/fmax skip NaN, so an all-don't-care row is NaN: neutral.
+        lo = np.fmin.reduce(rows, axis=1)
+        hi = np.fmax.reduce(rows, axis=1)
+        ok = (
+            (rows == lo[:, None]) | (rows == hi[:, None]) | ~valid
+        ).all(axis=1)
+        lo[~alive] = np.nan
+        hi[~alive] = np.nan
+        self._lo[slots] = lo
+        self._hi[slots] = hi
         ok[~alive] = True
         self._ok[slots] = ok
         key = self._gate()
         if key is None:
-            self.exact = None
+            self.exact = self.operands = None
             return
-        if self.exact is None or self.exact[1:3] != key:
-            # The gate just engaged, or the Hamming alphabet changed:
-            # every column is rewritten.
+        if key != self.exact:
+            # The gate just engaged, or the alphabet changed: every
+            # column is rewritten.
             if slots.size < self.capacity:
                 rows = self._rows(np.arange(self.capacity))
                 valid = rows == rows
-            slots = slice(None)
             shape = (self.features, self.capacity)
-            plain = self.metric == "dot"
-            base = None if plain else np.empty(self.capacity)
-            vt = None if plain else np.empty(shape)
-            at = np.empty(shape)
-        else:
-            base, vt, at = self.exact[3:]
-        a, b = key
-        if self.metric == "hamming":
-            sb = ((rows == b) & valid).astype(np.float64)
-            base[slots] = sb.sum(axis=1)
-            vt[:, slots] = valid.T
-            at[:, slots] = sb.T
-        else:
-            cleaned = np.where(valid, rows, 0.0)
-            at[:, slots] = cleaned.T
-            if self.metric == "euclidean":
-                base[slots] = (cleaned * cleaned).sum(axis=1)
-                vt[:, slots] = valid.T
-        self.exact = (self.metric, a, b, base, vt, at)
+            self.operands = (
+                np.empty(self.capacity), np.empty(shape), np.empty(shape)
+            )
+            slots = slice(None)
+        base, vt, at = self.operands
+        sb = (rows == key[1]).astype(np.float64)
+        base[slots] = sb.sum(axis=1)
+        vt[:, slots] = valid.T
+        at[:, slots] = sb.T
+        self.exact = key
 
     def _gate(self) -> Optional[Tuple[float, float]]:
         """``(a, b)`` when the live rows pass the exact gate, else ``None``
         (``a``/``b`` are the Hamming alphabet, zeros otherwise)."""
-        if not self._ok.all():
+        if self.features > _EXACT_MAX_FEATURES or not self._ok.all():
             return None
         if self.metric != "hamming":
             return 0.0, 0.0
@@ -448,23 +426,16 @@ class FusedPlan:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Run one ``B×D`` batch through the fused pipeline.
 
-        Returns ``(values, indices, scores)`` — the (possibly
-        WTA-clamped) float64 top-k values, their int64 slot indices and
-        the full ``B×n_alive`` merged score matrix (the unclamped
-        candidates a :class:`~repro.runtime.sharding.ShardedSession`
-        re-ranks).  Charges land on the live machine counters in the
-        unfused walk's order.
+        Returns ``(values, indices, raw)`` — the (possibly WTA-clamped)
+        float64 top-k values, their int64 slot indices and the unclamped
+        top-k scores (what a
+        :class:`~repro.runtime.sharding.ShardedSession` re-ranks).
+        Charges land on the live machine counters in the unfused walk's
+        order.
         """
         n_queries = queries.shape[0]
         n_alive = self.n_alive
-        # --- score every slot: exact matmul rewrite when the batch
-        #     qualifies, else the per-slice loop in row shares ----------
-        scores = self._exact_scores(queries) if self.exact else None
-        if scores is None:
-            scores = self._generic_scores(queries)
-        # --- gather: the live slots, in slot (== id) order -------------
-        if self.live is not None:
-            scores = scores[:, self.live]
+        scores = self._live_scores(queries, k)
         # --- charge: the traced per-query schedule ---------------------
         machine = self.machine
         energy = machine.energy
@@ -482,96 +453,137 @@ class FusedPlan:
                 scores, k, prefers_larger=self.largest,
                 wta_window=self.wta_window,
             )
+            raw = np.take_along_axis(scores, indices, axis=1)
             energy.host += n_queries * self.host_energy
         else:
-            values = np.zeros((n_queries, 0), dtype=np.float64)
+            values = raw = np.zeros((n_queries, 0), dtype=np.float64)
             indices = np.zeros((n_queries, 0), dtype=np.int64)
         machine.trace.record(
             "fused_batch", "host", 0.0, 0.0, 0.0,
             f"queries={n_queries} rows={n_alive} k={k}",
         )
-        return values, indices, scores
+        return values, indices, raw
 
-    def _generic_scores(self, queries: np.ndarray) -> np.ndarray:
-        """Score every slot through the per-slice loop, the batch cut
-        into row shares when it is large enough (see the module notes).
-        """
-        n_queries = queries.shape[0]
-        scores = np.zeros((n_queries, self.capacity), dtype=np.float64)
-        scorers = [
-            [(c0, c1, store_scorer(self.metric, store))
-             for c0, c1, store in group]
-            for group in (self.slices if self.stacked else [self.slices])
-        ]
-        shares = min(
-            _CPUS, n_queries,
-            n_queries * self.capacity * self.features // _SPLIT_TERMS,
-        )
-        if shares <= 1:
-            self._score_rows(scorers, queries, scores)
-            return scores
-        bounds = [n_queries * i // shares for i in range(shares + 1)]
-        executor, idle = _scoring_pool()
-        handed, mine = [], [(0, bounds[1])]
-        for r0, r1 in zip(bounds[1:-1], bounds[2:]):
-            if idle.acquire(blocking=False):
-                try:
-                    handed.append(executor.submit(
-                        _pool_share, self, scorers, queries[r0:r1],
-                        scores[r0:r1], idle,
-                    ))
-                    continue
-                except RuntimeError:
-                    # The interpreter is exiting: its pools take no new
-                    # work, so the caller scores the share.
-                    idle.release()
-            mine.append((r0, r1))
-        for r0, r1 in mine:
-            self._score_rows(scorers, queries[r0:r1], scores[r0:r1])
-        for share in handed:
-            share.result()
-        return scores
+    def _live_scores(self, queries: np.ndarray, k: int) -> np.ndarray:
+        """The ``B×n_alive`` live score matrix, in slot (== id) order:
+        exact, pruned or full (see the module notes)."""
+        exact = self._exact_scores(queries) if self.exact else None
+        if exact is not None:
+            return self._live(exact)
+        if self.metric != "hamming" and 0 < k < self.n_alive:
+            pruned = self._pruned_scores(queries, k)
+            if pruned is not None:
+                return pruned
+        return self._live(self._full_scores(queries))
 
-    def _score_rows(
-        self, scorers, queries: np.ndarray, out: np.ndarray
-    ) -> None:
-        """Add the per-slice scores of ``queries`` into ``out``, their
-        zeroed rows of the batch's score matrix.  ``scorers`` groups the
-        :attr:`slices`, each store prepared by
-        :func:`~repro.simulator.cells.store_scorer`: one group per
-        subarray when density-stacked, else a single group."""
-        # Two-level accumulation mirrors the machine: each stacked
-        # subarray's digital accumulator sums its own pattern batches
-        # first, then partials merge across subarrays.  A single
-        # group's partial is never -0.0 (it starts at +0.0), so adding
-        # it to the zeroed rows keeps every bit.
-        for group in scorers:
-            partial = np.zeros_like(out)
-            for c0, c1, score in group:
-                partial += score(queries[:, c0:c1])
-            out += partial
+    def _live(self, scores: np.ndarray) -> np.ndarray:
+        """``scores``' live-slot columns (all of them when every slot
+        is live)."""
+        return scores if self.live is None else scores[:, self.live]
 
     def _exact_scores(self, queries: np.ndarray):
-        """Score every slot via the exact-arithmetic rewrite, or ``None``.
+        """Every slot's score through the exact rewrite, or ``None``.
 
         The stored side passed the gate at refresh time; here the query
-        batch must too — every value in the alphabet (hamming) or an
-        exact small integer (euclidean/dot).  A batch that fails scores
-        through the generic per-slice loop instead, bit-identically.
+        batch must too — every value in the alphabet (Hamming) or an
+        exact small integer (Euclidean, dot).
         """
-        metric, a, b, base, vt, at = self.exact
-        if metric == "hamming":
-            qb = queries == b
-            if not np.all(qb | (queries == a)):
+        if self.metric != "hamming":
+            if not (np.all(np.abs(queries) <= _EXACT_MAX)
+                    and np.all(queries == np.rint(queries))):
                 return None
-            qb = qb.astype(np.float64)
-            return base + qb @ vt - 2.0 * (qb @ at)
-        if not (np.all(np.abs(queries) <= _EXACT_MAX)
-                and np.all(queries == np.rint(queries))):
+            return self._products(queries)[0]
+        a, b = self.exact
+        qb = queries == b
+        if not np.all(qb | (queries == a)):
             return None
-        if metric == "dot":
-            return queries @ at
-        return base + (queries * queries) @ vt - 2.0 * (queries @ at)
+        base, vt, at = self.operands
+        qb = qb.astype(np.float64)
+        return base + qb @ vt - 2.0 * (qb @ at)
+
+    def _products(self, queries: np.ndarray):
+        """``(approx, scale)`` over every slot: the Euclidean or dot
+        rewrite, and the magnitude its rounding error scales with."""
+        base, vt, at = self.operands
+        squares = queries * queries
+        if vt is None:
+            return queries @ at, base + squares.sum(axis=1, keepdims=True)
+        scale = base + squares @ vt
+        return scale - 2.0 * (queries @ at), scale
+
+    def _pruned_scores(self, queries: np.ndarray, k: int):
+        """The live score matrix with only the pairs that can reach a
+        top-k rescored, or ``None`` when a bound is not finite.
+
+        Each pair is rescored bitwise as the full loop scores it; every
+        other live slot is ``+inf`` (distance) or ``-inf`` (dot).  A
+        slot whose optimistic bound misses the k-th best pessimistic
+        bound ``τ`` scores worse than ``k`` others, so it cannot win,
+        and every slot tied at the k-th best score is rescored.
+        """
+        # An infinite or huge value makes a bound inf or NaN: refused
+        # below, so its arithmetic warnings are noise.
+        with np.errstate(over="ignore", invalid="ignore"):
+            approx, scale = (self._live(a) for a in self._products(queries))
+            err = (self.features + 8) * (_BOUND_REL * scale + _BOUND_ABS)
+            upper, lower = approx + err, approx - err
+        if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+            return None
+        n = self.n_alive
+        if self.largest:
+            tau = np.partition(lower, n - k, axis=1)[:, n - k, None]
+            rows, cols = np.nonzero(upper >= tau)
+        else:
+            tau = np.partition(upper, k - 1, axis=1)[:, k - 1, None]
+            rows, cols = np.nonzero(lower <= tau)
+        scores = np.full(approx.shape, -np.inf if self.largest else np.inf)
+        slots = cols if self.live is None else self.live[cols]
+        scores[rows, cols] = self._pair_scores(queries, rows, slots)
+        return scores
+
+    def _full_scores(self, queries: np.ndarray) -> np.ndarray:
+        """Every slot's score through the per-slice loop, ``B×capacity``."""
+        return self._accumulate(
+            (queries.shape[0], self.capacity),
+            lambda c0, c1, store: store_scorer(self.metric, store)(
+                queries[:, c0:c1]
+            ),
+        )
+
+    def _pair_scores(self, queries, rows, slots) -> np.ndarray:
+        """The scores of query ``rows[p]`` against slot ``slots[p]``,
+        each bitwise its entry of :meth:`_full_scores`, in chunks whose
+        per-slice terms fit one scoring block (a batch of ties can make
+        every pair a candidate)."""
+        width = max(c1 - c0 for c0, c1, _store in self._columns)
+        step = max(1, BLOCK_ELEMENTS // width)
+        out = np.empty(rows.size)
+        for p in range(0, rows.size, step):
+            r, s = rows[p : p + step], slots[p : p + step]
+            out[p : p + step] = self._accumulate(
+                r.shape,
+                lambda c0, c1, store: pair_scores(
+                    self.metric, store[s], queries[r, c0:c1]
+                ),
+            )
+        return out
+
+    def _accumulate(self, shape, score) -> np.ndarray:
+        """Sum ``score(c0, c1, store)`` over the :attr:`slices`.
+
+        Two-level accumulation mirrors the machine: each stacked
+        subarray's digital accumulator sums its own pattern batches
+        first, then partials merge across subarrays (one group when not
+        stacked).  A group's partial starts at +0.0, and so does the
+        total, as in the unfused walk's latch and merge.
+        """
+        out = np.zeros(shape)
+        for group in self.slices if self.stacked else [self.slices]:
+            partial = np.zeros(shape)
+            for c0, c1, store in group:
+                partial += score(c0, c1, store)
+            out += partial
+        return out
 
 
 def build_fused_plan(session) -> Optional[FusedPlan]:

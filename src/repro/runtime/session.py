@@ -1017,9 +1017,8 @@ class QuerySession:
         n_queries = queries.shape[0]
         before = self._counters()
         k = self.program.k if self.serve_k is None else self.serve_k
-        values, indices, scores = fused_plan.execute(queries, k)
+        values, indices, self.last_values = fused_plan.execute(queries, k)
         self._time += n_queries * self.per_query_latency_ns
-        self.last_values = np.take_along_axis(scores, indices, axis=1)
         self.last_indices = indices
         self.last_report = self._report(before, n_queries)
         self.batches_run += 1

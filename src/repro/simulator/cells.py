@@ -133,15 +133,30 @@ def _hamming_scorer(stored: np.ndarray):
     return score
 
 
-def _euclidean_scorer(stored: np.ndarray):
-    stored = np.asarray(stored, dtype=np.float64)
-    # ANDing a float64's bits with -1 (all ones) keeps it and with 0
-    # makes it +0.0: ``np.where(dont_care, 0.0, diff)`` bit for bit,
-    # without a masked (branchy, several times slower) loop.
+def _keep_bits(stored: np.ndarray):
+    """``stored``'s don't-care mask as int64 bits to AND a difference
+    with, or ``None`` when every cell is valid.
+
+    ANDing a float64's bits with -1 (all ones) keeps it and with 0
+    makes it +0.0: ``np.where(dont_care, 0.0, diff)`` bit for bit,
+    without a masked (branchy, several times slower) loop.
+    """
     keep = _valid_cells(stored)
     if keep is not None:
         keep = keep.astype(np.int64)
         np.negative(keep, out=keep)
+    return keep
+
+
+def _zeroed(stored: np.ndarray) -> np.ndarray:
+    """``stored`` with its don't-care cells set to +0.0."""
+    valid = _valid_cells(stored)
+    return stored if valid is None else np.where(valid, stored, 0.0)
+
+
+def _euclidean_scorer(stored: np.ndarray):
+    stored = np.asarray(stored, dtype=np.float64)
+    keep = _keep_bits(stored)
 
     def score(query):
         return _row_sums(
@@ -153,10 +168,7 @@ def _euclidean_scorer(stored: np.ndarray):
 
 
 def _dot_scorer(stored: np.ndarray):
-    stored = np.asarray(stored, dtype=np.float64)
-    valid = _valid_cells(stored)
-    if valid is not None:
-        stored = np.where(valid, stored, 0.0)
+    stored = _zeroed(np.asarray(stored, dtype=np.float64))
 
     def score(query):
         # Multiply + pairwise row sum (not BLAS matmul) so batched and
@@ -213,15 +225,33 @@ def store_scorer(metric: str, stored: np.ndarray):
     with those cells zeroed — done once, here.
 
     The returned function scores a query or a batch against ``stored``
-    bitwise as :func:`compute_scores` does.  The fused plan prepares
-    each column slice once per batch and scores the batch's row shares
-    against it, so a share costs only its own rows.
+    bitwise as :func:`compute_scores` does.
     """
     try:
         scorer, _ = METRIC_FUNCTIONS[metric]
     except KeyError:
         raise ValueError(f"unknown CAM metric: {metric!r}") from None
     return scorer(stored)
+
+
+def pair_scores(metric: str, stored: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Score each row of ``stored`` against the same row of ``queries``.
+
+    Both are ``P×C``; returns ``P`` scores, each bitwise the score
+    :func:`compute_scores` gives that stored row against that query:
+    the same per-cell terms and the same contiguous row reduce.  The
+    fused plan rescores the (query, slot) pairs that can reach a top-k
+    through it.  ``euclidean`` and ``dot`` only.
+    """
+    stored = np.asarray(stored, dtype=np.float64)
+    queries = np.asarray(queries, dtype=np.float64)
+    if metric == "euclidean":
+        terms = _euclidean_terms(stored, queries, _keep_bits(stored), None)
+    elif metric == "dot":
+        terms = _product_terms(_zeroed(stored), queries, None, None)
+    else:
+        raise ValueError(f"no pair form for CAM metric {metric!r}")
+    return np.add.reduce(terms, axis=-1)
 
 
 def compute_scores(metric: str, stored: np.ndarray, query: np.ndarray) -> np.ndarray:

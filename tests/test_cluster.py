@@ -89,6 +89,16 @@ class TestAdmission:
             )
         _assert_no_overlap(cluster)
 
+    def test_refused_admit_keeps_the_id_sequence(self, dot_kernel, stores):
+        spec = replace(dse_spec(16), banks=2)
+        cluster = Cluster(spec)
+        other = compile_dot(dot_kernel, stores[0],
+                            spec=replace(dse_spec(32), banks=2))
+        with pytest.raises(SessionError, match="ArchSpec"):
+            cluster.admit(other)
+        tid = cluster.admit(compile_dot(dot_kernel, stores[0], spec=spec))
+        assert tid == "tenant0"
+
     def test_spec_mismatch_rejected(self, dot_kernel, stores):
         kernel = compile_dot(dot_kernel, stores[0],
                              spec=replace(dse_spec(16), banks=2))
@@ -634,6 +644,18 @@ class TestLifecycle:
             cluster.admit(
                 compile_dot(dot_kernel, stores[1], spec=spec)
             )
+
+    def test_closed_cluster_refuses_batches(self, dot_kernel, stores):
+        spec = replace(dse_spec(16), banks=2)
+        with Cluster(spec) as cluster:
+            cluster.admit(
+                compile_dot(dot_kernel, stores[0], spec=spec), tenant_id="t"
+            )
+            cluster.run_batch(stores[0][:2], tenant="t")
+            assert not cluster.closed
+        assert cluster.closed
+        with pytest.raises(SessionError, match="shut down"):
+            cluster.run_batch(stores[0][:2], tenant="t")
 
     def test_context_manager_drains(self, dot_kernel, stores, rng):
         spec = replace(dse_spec(16), banks=2)

@@ -468,8 +468,20 @@ def test_fused_matches_unfused_oracle_all_paths(seed):
     unfused session walk — results AND energy/latency accounting — on
     every execution backend: plain session, sharded, replicated+served,
     and the multi-tenant fleet."""
+    _fused_matches_oracle_all_paths(seed, analog=False)
+
+
+def _fused_matches_oracle_all_paths(seed, analog):
+    """The fused-vs-unfused differential on every backend.  ``analog``
+    moves the case onto an analog CAM with every store and query scaled
+    by √2, off the integers, so that no batch passes the exact gate."""
     rng = np.random.default_rng(321_000 + seed)
     stored, queries, k, spec, kind = _random_case(rng)
+    root2 = np.sqrt(2.0)
+    if analog:
+        spec = replace(spec, cam_type="acam")
+        stored = stored * np.float32(root2)
+        queries = queries * root2
     features = stored.shape[1]
     example = [placeholder((1, features))]
 
@@ -534,6 +546,8 @@ def test_fused_matches_unfused_oracle_all_paths(seed):
     wild = rng.choice([0.0, 1.0], stored.shape)
     wild[rng.random(stored.shape) < 0.2] = DONT_CARE
     bits = rng.choice([0.0, 1.0], queries.shape)
+    if analog:
+        wild, bits = wild * root2, bits * root2
     for shards in (1, num_shards):
         kf, ko = pair(wild.astype(np.float32), num_shards=shards)
         rf, ro = kf.run_batch(bits), ko.run_batch(bits)
@@ -543,19 +557,24 @@ def test_fused_matches_unfused_oracle_all_paths(seed):
             ko.session().last_report
         )
         if shards == 1:
-            assert kf.session()._fused_plan.exact is not None
+            assert (kf.session()._fused_plan.exact is None) == analog
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_fused_split_matches_unfused_oracle_all_paths(split_batches, seed):
-    """The differential above with every generic-path batch of two or
-    more rows scored in row shares on the fused side."""
-    test_fused_matches_unfused_oracle_all_paths(seed)
+def test_fused_split_matches_unfused_oracle_all_paths(scored, seed):
+    """The differential above on an analog CAM, every value scaled by
+    √2: the bipolar, tie and all-zero cases become heavy ties for the
+    pruning bound, and every batch whose k is below the live rows is
+    pruned."""
+    _fused_matches_oracle_all_paths(seed, analog=True)
+    assert scored and all(n != "full" for n in scored), scored
 
 
 def _generic_stores(rng, euclidean_kernel):
     """``(name, model, spec, num_shards, 9 queries)`` for each kind of
-    store the fused plan scores through its generic per-slice loop."""
+    store whose batches miss the exact gate: pruned (Euclidean and dot),
+    or scored through the full per-slice loop (a Hamming store queried
+    off its alphabet)."""
     acam = paper_spec(rows=16, cols=16, cam_type="acam")
     wild = rng.standard_normal((40, 48))
     wild[rng.random(wild.shape) < 0.2] = DONT_CARE
@@ -580,16 +599,18 @@ def _generic_stores(rng, euclidean_kernel):
 
 @pytest.mark.parametrize("rows, shares", [
     (0, [0]), (1, [1]),
-    (3, [1, 1, 1]),                # fewer rows than the 4 CPUs
+    (3, [1, 1, 1]),
     (7, [1, 2, 2, 2]), (9, [2, 2, 2, 3]),  # ragged shares
 ])
 def test_fused_split_matches_unfused_oracle(
-    split_batches, euclidean_kernel, rows, shares
+    scored, euclidean_kernel, rows, shares
 ):
-    """Every kind of generic-path store, with the batch cut into
-    ``shares`` (``split_batches`` pretends 4 CPUs): the split fused run
-    is bitwise the unfused walk in results, every session's
-    ``last_values`` and every report."""
+    """Every kind of store whose batches miss the exact gate: the fused
+    run of a ``rows`` batch is bitwise the unfused walk in results,
+    every session's ``last_values`` and every report, and serving the
+    batch cut into consecutive row ``shares``, each its own batch,
+    returns the same rows — a pruned query's answer does not depend on
+    the queries it shares matrix products with."""
     rng = np.random.default_rng(23)
     for name, model, spec, num_shards, queries in _generic_stores(
         rng, euclidean_kernel
@@ -602,7 +623,7 @@ def test_fused_split_matches_unfused_oracle(
             for fused in (True, False)
         )
         batch = queries[:rows]
-        del split_batches[:]
+        del scored[:]
         rf, ro = kf.run_batch(batch), ko.run_batch(batch)
         np.testing.assert_array_equal(rf[0], ro[0], err_msg=name)
         np.testing.assert_array_equal(rf[1], ro[1], err_msg=name)
@@ -619,13 +640,21 @@ def test_fused_split_matches_unfused_oracle(
         assert _report_tuple(kf.last_report) == _report_tuple(
             ko.last_report
         ), name
-        # An empty batch lies inside any alphabet: the exact rewrite
-        # takes it.
-        exact = name == "binary_off_alphabet" and rows == 0
-        want = [] if exact else shares * num_shards
-        assert sorted(split_batches) == sorted(want), name
+        if name == "binary_off_alphabet":
+            # An empty batch lies inside any alphabet: the exact rewrite
+            # takes it; any other misses it and takes the full loop.
+            assert scored == ([] if rows == 0 else ["full"] * num_shards)
+        else:
+            assert len(scored) == num_shards, name
+            assert "full" not in scored, name
         if name == "density_stacked":
             assert kf.session()._fused_plan.stacked
+        cuts = np.cumsum([0] + shares)
+        pieces = [kf.run_batch(batch[a:b]) for a, b in zip(cuts, cuts[1:])]
+        for got, want in zip(zip(*pieces), rf):
+            np.testing.assert_array_equal(
+                np.concatenate(got), want, err_msg=name
+            )
 
 
 def test_fused_cluster_matches_unfused_oracle():

@@ -473,10 +473,11 @@ def test_mutate_during_serve(seed):
 
 def _assert_same_plan(got, want):
     """``got`` (a session's refreshed plan) equals ``want`` (a fresh
-    trace of the same session) byte for byte: stores, exact operands
-    (tombstoned columns included), charge lists (the same subarray
-    objects), ``n_alive``, ``host_energy`` and the live-slot set.  A
-    store that cannot fuse is ``False`` on the session, ``None`` fresh."""
+    trace of the same session) byte for byte: stores, the exact gate's
+    key, the BLAS operands (tombstoned columns included), charge lists
+    (the same subarray objects), ``n_alive``, ``host_energy`` and the
+    live-slot set.  A store that cannot fuse is ``False`` on the
+    session, ``None`` fresh."""
     if not want:
         assert got is False
         return
@@ -496,10 +497,10 @@ def _assert_same_plan(got, want):
     for (g0, g1, g), (w0, w1, w) in zip(stores(got), stores(want)):
         assert (g0, g1) == (w0, w1)
         assert g.shape == w.shape and g.tobytes() == w.tobytes()
-    assert (got.exact is None) == (want.exact is None)
-    if want.exact is not None:
-        assert got.exact[:3] == want.exact[:3]
-        for g, w in zip(got.exact[3:], want.exact[3:]):
+    assert got.exact == want.exact
+    assert (got.operands is None) == (want.operands is None)
+    if want.operands is not None:
+        for g, w in zip(got.operands, want.operands, strict=True):
             assert (g is None) == (w is None)
             if w is not None:
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()

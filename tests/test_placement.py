@@ -660,6 +660,23 @@ class TestTenantPool:
         with pytest.raises(SessionError, match="shut down"):
             cluster.submit(stored[0], tenant="a")
 
+    def test_closed_cluster_closes_the_pool(self, rng):
+        """Leaving ``with pool.open() as cluster:`` shuts the cluster
+        down: the pool reads closed, and ``open()`` and ``run()`` serve
+        from a freshly placed cluster instead of the closed one."""
+        from repro.apps import TenantPool
+
+        pool = TenantPool(dse_spec(16))
+        stored = rng.choice([-1.0, 1.0], (4, 32)).astype(np.float32)
+        pool.add("a", stored)
+        with pool.open() as closed:
+            assert pool.is_open
+        assert not pool.is_open and closed.closed
+        pool.add("b", stored)             # legal again, as after reset
+        assert pool.run("a", stored[3])[1][0, 0] == 3
+        assert pool.is_open and pool.open() is not closed
+        assert pool.open().tenant_ids == ["a", "b"]
+
 
 def test_cli_tenants_demo(capsys):
     from repro.cli import main

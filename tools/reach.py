@@ -11,8 +11,8 @@ suite.  The unit tests are not one: a line only a test reaches has no
 product path.
 
 Each path runs in its own subprocess under a line recorder:
-``sys.settrace`` and ``threading.settrace`` (so serving lanes and the
-scoring pool count) record every line run and every function entered in
+``sys.settrace`` and ``threading.settrace`` (so serving lanes count)
+record every line run and every function entered in
 a file under ``src/``.  ``co_lines()`` of each file's compiled code
 gives its executable lines.  The report merges the records of every
 path and prints each path's exit status (a failing path is reported,

@@ -166,10 +166,12 @@ def test_generic_scoring_2x():
 
 
 def _plan_arrays(plan):
-    """Every array a fused plan serves from, stores first."""
+    """Every array a fused plan serves from, stores first, then the
+    operands and the per-slot density flags."""
     arrays = [store for _c0, _c1, store in plan.slices]
     if plan.operands is not None:
         arrays += [a for a in plan.operands if a is not None]
+    arrays.append(plan._full)
     return arrays
 
 

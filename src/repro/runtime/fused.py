@@ -51,6 +51,15 @@ them, so the top-k, its raw values and every charge are unchanged:
   bound is not finite, when ``k`` is not below the live-slot count, or
   when a Hamming batch misses the exact gate.
 
+**One product while dense.**  The exact Euclidean and Hamming rewrites
+and the bound add to each slot's ``base`` the query's terms over the
+slot's valid cells, ``q²·VT`` (Hamming ``qb·VT``).  While no live row
+holds a don't-care cell (:attr:`FusedPlan.dense`, kept per slot at
+refresh beside the gate's flag) that is one row sum per query, so the
+batch forms one matrix product instead of two.  Inside the exact gate
+the row sum is an exact integer, and the bound holds for any summation
+order, so no result moves.
+
 **Bitwise-identity guarantee.**  A fused run returns the same
 ``[values, indices]`` bit for bit as the unfused session walk, and its
 :class:`~repro.simulator.metrics.ExecutionReport` charges identical
@@ -94,12 +103,12 @@ from repro.simulator.peripherals import best_match_batch
 __all__ = ["FusedPlan", "build_fused_plan"]
 
 #: Largest |value| the exact-integer fast paths accept.  Bounded so
-#: every intermediate stays an exact float64 integer: with features
-#: capped at :data:`_EXACT_MAX_FEATURES`, products reach ``2**40`` and
-#: row sums ``2**52 < 2**53`` — below the float64 integer horizon, so
-#: BLAS may reorder (or fuse) the additions freely without changing a
-#: single bit.
-_EXACT_MAX = float(1 << 20)
+#: every intermediate stays an exact float64 integer: a difference
+#: ``s - q`` reaches ``2**20``, its square ``2**40`` and, with features
+#: capped at :data:`_EXACT_MAX_FEATURES`, a row sum ``2**52 < 2**53`` —
+#: below the float64 integer horizon, so BLAS may reorder (or fuse) the
+#: additions freely without changing a single bit.
+_EXACT_MAX = float(1 << 19)
 _EXACT_MAX_FEATURES = 1 << 12
 #: The pruning bound's relative and absolute (underflow) terms, per
 #: feature plus eight: twice what the rounding of both scores can add
@@ -136,10 +145,12 @@ class FusedPlan:
         "merge_charges",
         "host_energy",
         "exact",
+        "dense",
         "operands",
         "_units",
         "_columns",
         "_ok",
+        "_full",
         "_lo",
         "_hi",
     )
@@ -218,6 +229,12 @@ class FusedPlan:
         # Dead slots are neutral (True, NaN, NaN): the gate counts live
         # rows only.
         self._ok = np.ones(capacity, dtype=bool)
+        # Per-slot: whether the row holds no don't-care cell.  Dead
+        # slots are full: tombstoning clears a row's cells to zeros.
+        self._full = np.ones(capacity, dtype=bool)
+        #: Every live row is full: ``VT`` is all ones over the live
+        #: slots, and :meth:`_masked` takes row sums in its place.
+        self.dense = True
         self._lo = self._hi = None
         if self.metric == "hamming":
             self._lo = np.full(capacity, np.nan)
@@ -276,7 +293,14 @@ class FusedPlan:
           q²@VT - 2·(q@AT)``;
         * ``dot``: ``sim = q@AT`` (``base`` = Σs² scales its bound).
 
-        Don't-care cells drop out through the valid mask ``VT``.
+        Don't-care cells are zeroed in ``AT`` and ``base``, and drop out
+        of the query's side through the valid mask ``VT``.  While no
+        live row holds one (:attr:`dense`), ``VT`` is all ones over the
+        live slots, so a batch sums its query terms along each row
+        instead and forms one matrix product, not two.  ``VT`` is still
+        written at every refresh, ready for the first batch after a
+        don't-care row lands.
+
         Whenever every term is an exact float64 integer, addition is
         associative *bit for bit*, so the products equal the per-slice
         loop's scores: that is the exact gate, two values per row for
@@ -292,11 +316,16 @@ class FusedPlan:
         cols = slice(None) if slots.size == self.capacity else slots
         base, vt, at = self.operands
         ok = np.ones(slots.size, dtype=bool)
+        full = np.ones(slots.size, dtype=bool)
         squares = np.zeros(slots.size)
         for c0, c1, store in self._columns:
             block = store[cols]
             valid = block == block         # False exactly at NaN
-            cleaned = block if valid.all() else np.where(valid, block, 0.0)
+            if valid.all():
+                cleaned = block
+            else:
+                cleaned = np.where(valid, block, 0.0)
+                full &= valid.all(axis=1)
             if ok.any():                   # an analog store fails at once
                 ok &= (
                     (cleaned == np.rint(cleaned))
@@ -307,8 +336,7 @@ class FusedPlan:
                 vt[c0:c1, cols] = valid.T
             squares += (cleaned * cleaned).sum(axis=1)
         base[cols] = squares
-        ok[~alive] = True
-        self._ok[slots] = ok
+        self._mark(slots, alive, ok, full)
         self.exact = self._gate()
 
     def _rows(self, slots: np.ndarray) -> np.ndarray:
@@ -335,8 +363,7 @@ class FusedPlan:
         hi[~alive] = np.nan
         self._lo[slots] = lo
         self._hi[slots] = hi
-        ok[~alive] = True
-        self._ok[slots] = ok
+        self._mark(slots, alive, ok, valid.all(axis=1))
         key = self._gate()
         if key is None:
             self.exact = self.operands = None
@@ -358,6 +385,14 @@ class FusedPlan:
         vt[:, slots] = valid.T
         at[:, slots] = sb.T
         self.exact = key
+
+    def _mark(self, slots, alive, ok, full) -> None:
+        """Record ``slots``' gate flags (dead slots neutral) and density
+        flags, and whether every live row is now full."""
+        ok[~alive] = True
+        self._ok[slots] = ok
+        self._full[slots] = full
+        self.dense = bool(self._full.all())
 
     def _gate(self) -> Optional[Tuple[float, float]]:
         """``(a, b)`` when the live rows pass the exact gate, else ``None``
@@ -497,18 +532,26 @@ class FusedPlan:
         qb = queries == b
         if not np.all(qb | (queries == a)):
             return None
-        base, vt, at = self.operands
         qb = qb.astype(np.float64)
-        return base + qb @ vt - 2.0 * (qb @ at)
+        return self._masked(qb) - 2.0 * (qb @ self.operands[2])
+
+    def _masked(self, terms: np.ndarray) -> np.ndarray:
+        """``base + terms@VT``: each slot's ``base`` plus the sum of the
+        query-side ``terms`` over its valid cells (dot, without ``VT``:
+        over every cell) — one row sum per query while the store is
+        :attr:`dense`."""
+        base, vt, _at = self.operands
+        if vt is None or self.dense:
+            return base + terms.sum(axis=1, keepdims=True)
+        return base + terms @ vt
 
     def _products(self, queries: np.ndarray):
         """``(approx, scale)`` over every slot: the Euclidean or dot
         rewrite, and the magnitude its rounding error scales with."""
-        base, vt, at = self.operands
-        squares = queries * queries
+        _base, vt, at = self.operands
+        scale = self._masked(queries * queries)
         if vt is None:
-            return queries @ at, base + squares.sum(axis=1, keepdims=True)
-        scale = base + squares @ vt
+            return queries @ at, scale
         return scale - 2.0 * (queries @ at), scale
 
     def _pruned_scores(self, queries: np.ndarray, k: int):

@@ -24,6 +24,12 @@ class TorchToCimPass(FunctionPass):
     NAME = "torch-to-cim"
 
     def run_on_function(self, func: Operation) -> None:
+        # A traced op nothing uses would otherwise become a block of its
+        # own, run on every call.  Sweeping in reverse order erases an
+        # op's users before the op itself is visited.
+        for op in reversed(list(func.body.operations)):
+            if op.dialect == "torch" and not any(r.has_uses for r in op.results):
+                op.erase()
         for op in list(func.body.operations):
             if op.name in _CONVERTERS:
                 _convert(op)

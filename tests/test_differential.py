@@ -715,6 +715,34 @@ def test_analog_euclidean_plan_skips_exact_rewrite(euclidean_kernel):
     assert kf.session()._fused_plan.exact is not None
 
 
+@pytest.mark.parametrize("top, exact", [(1 << 20, False), (1 << 19, True)])
+def test_exact_gate_keeps_euclidean_sums_below_2_53(
+    euclidean_kernel, top, exact
+):
+    """Integer stores near the exact gate's edge, 4096 features, queried
+    from the opposite sign: at ``2**20`` a squared difference reaches
+    ``2**42`` and a row sum ``2**54``, past the float64 integer horizon,
+    so the gate must decline (the batch is pruned instead); at ``2**19``
+    the sums stay below ``2**53`` and the exact rewrite serves.  Either
+    way the scores are the unfused walk's bit for bit."""
+    rng = np.random.default_rng(53)
+    stored = (top - rng.integers(0, 3000, (8, 4096))).astype(np.float32)
+    queries = -(top - rng.integers(0, 3000, (3, 4096))).astype(np.float64)
+    spec = paper_spec(rows=64, cols=64, cam_type="acam")
+    sf, so = (
+        C4CAMCompiler(spec).compile(
+            euclidean_kernel(stored, k=3), [placeholder((1, 4096))],
+            fused=fused,
+        ).session()
+        for fused in (True, False)
+    )
+    for got, want in zip(sf.run_batch(queries), so.run_batch(queries)):
+        assert got.tobytes() == want.tobytes()
+    assert sf.last_values.tobytes() == so.last_values.tobytes()
+    assert _report_tuple(sf.last_report) == _report_tuple(so.last_report)
+    assert (sf._fused_plan.exact is not None) is exact
+
+
 def test_noise_bypasses_fusion():
     """Device noise keeps the unfused walk (draws are per-machine-call):
     a noisy fused-flag session must produce the identical realization."""

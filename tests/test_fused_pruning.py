@@ -8,8 +8,13 @@ distinct data, and no full per-slice loop — and that results,
 ``last_values`` and reports stay bitwise the unfused walk's on stores
 built to break a loose bound: exact duplicate rows, 1-ulp perturbations,
 magnitudes from 3e-163 to 1e150 and ``k`` up to the live rows less one.
-They hold for any BLAS summation order; CI also runs this file under a
-four-thread OpenBLAS.  No wall clock is read.
+While no live row holds a don't-care cell the plan forms the valid-mask
+product ``q²·VT`` (Hamming ``qb·VT``) as one row sum per query: with
+``VT`` replaced by a sentinel that raises on any matrix product, knn's
+batches and an exact ±1 Hamming batch still serve bitwise, and a store
+with a live don't-care row still forms it.  They hold for any BLAS
+summation order; CI also runs this file under a four-thread OpenBLAS.
+No wall clock is read.
 """
 
 from dataclasses import replace
@@ -87,18 +92,18 @@ def _same(fused, oracle, queries):
 
 def _plan_bytes(plan):
     """The exact gate's key and the bytes of every array ``plan``
-    scores from: column stores, then operands."""
+    scores from: column stores, operands, then the per-slot density
+    flags."""
     arrays = [store for _c0, _c1, store in plan._columns]
     arrays += [a for a in plan.operands if a is not None]
+    arrays.append(plan._full)
     return plan.exact, [a.tobytes() for a in arrays]
 
 
-# ------------------------------------------------------------- traffic
-def test_knn_batches_rescore_k_pairs_per_query(scored, monkeypatch):
-    """The knn benchmark's store (512 analog rows × 1024 features on
-    64×64 subarrays, k = 5) and its 16 batches of 32 queries: with the
-    full per-slice loop patched to raise, every batch rescores exactly
-    k pairs per query and stays bitwise the unfused walk."""
+def _knn():
+    """``(fused, oracle, batches)``: the knn benchmark's store (512
+    analog rows × 1024 features on 64×64 subarrays, k = 5) and its 16
+    batches of 32 queries."""
     data = synthetic_pneumonia(n_train=512, n_test=512, seed=1)
     model, example = build_knn(
         data, k=5, feature_multiple=64, row_multiple=64
@@ -108,17 +113,100 @@ def test_knn_batches_rescore_k_pairs_per_query(scored, monkeypatch):
         C4CAMCompiler(spec).compile(model, example, fused=flag).session()
         for flag in (True, False)
     )
+    return fused, oracle, np.split(data.test_x.astype(np.float64), 16)
+
+
+class _NoMaskProduct:
+    """Stands in for a plan's ``VT``: any matrix product with it raises
+    (``__array_ufunc__ = None`` makes NumPy defer ``q @ VT`` to
+    :meth:`__rmatmul__`)."""
+
+    __array_ufunc__ = None
+
+    def __rmatmul__(self, other):
+        raise AssertionError("a batch formed the valid-mask product")
+
+
+def _refuse_mask_product(plan):
+    base, _vt, at = plan.operands
+    plan.operands = (base, _NoMaskProduct(), at)
+
+
+# ------------------------------------------------------------- traffic
+def test_knn_batches_rescore_k_pairs_per_query(scored, monkeypatch):
+    """The knn benchmark's store and its 16 batches: with the full
+    per-slice loop patched to raise, every batch rescores exactly k
+    pairs per query and stays bitwise the unfused walk."""
+    fused, oracle, batches = _knn()
 
     def refuse(plan, queries):
         raise AssertionError("the full per-slice loop ran")
 
     monkeypatch.setattr(FusedPlan, "_full_scores", refuse)
-    for queries in np.split(data.test_x.astype(np.float64), 16):
+    for queries in batches:
         assert _same(fused, oracle, queries) is None
         report = fused.last_report
         assert report.query_latency_ns / report.queries == 17.194985000000003
     assert fused._fused_plan.exact is None
     assert scored == [32 * 5] * 16
+
+
+def test_dense_knn_batches_skip_the_mask_product(scored):
+    """knn's store holds no don't-care cell: once the first batch has
+    traced the plan, its ``VT`` is replaced by a sentinel that raises on
+    any product, and the 16 batches still serve bitwise, every one
+    pruned to k pairs per query."""
+    fused, oracle, batches = _knn()
+    assert _same(fused, oracle, batches[0]) is None
+    plan = fused._fused_plan
+    assert plan.dense and plan.exact is None
+    _refuse_mask_product(plan)
+    for queries in batches:
+        assert _same(fused, oracle, queries) is None
+    assert scored == [32 * 5] * 17
+
+
+def test_dense_hamming_batch_skips_the_mask_product(rng):
+    """A ±1 store on a binary CAM (churn's kind) takes the exact Hamming
+    rewrite; without a don't-care cell it never forms ``qb·VT``."""
+    stored = rng.choice([-1.0, 1.0], (96, 256)).astype(np.float32)
+    queries = rng.choice([-1.0, 1.0], (9, 256))
+    spec = paper_spec(rows=32, cols=32)
+    fused, oracle = (
+        kernel.session() for kernel in _pair("dot", stored, 1, spec=spec)
+    )
+    assert _same(fused, oracle, queries[:1]) is None
+    plan = fused._fused_plan
+    assert plan.metric == "hamming" and plan.exact is not None
+    assert plan.dense
+    _refuse_mask_product(plan)
+    assert _same(fused, oracle, queries[1:]) is None
+
+
+@pytest.mark.parametrize("metric", ["euclidean", "hamming"])
+def test_dont_care_row_forms_the_mask_product(scored, metric, rng):
+    """One don't-care cell in one live row: the batch (pruned Euclidean,
+    exact Hamming) matches the unfused walk, and it does form the
+    ``VT`` product."""
+    if metric == "euclidean":
+        stored = rng.standard_normal((24, 64)).astype(np.float32)
+        queries = rng.standard_normal((4, 64))
+        model, spec = "euclidean", ACAM
+    else:   # ±1 dot similarity legalizes to Hamming on a binary CAM
+        stored = rng.choice([-1.0, 1.0], (24, 64)).astype(np.float32)
+        queries = rng.choice([-1.0, 1.0], (4, 64))
+        model, spec = "dot", paper_spec(rows=16, cols=32)
+    stored[5, 7] = DONT_CARE
+    fused, oracle = (
+        kernel.session() for kernel in _pair(model, stored, 3, spec=spec)
+    )
+    assert _same(fused, oracle, queries) is None
+    plan = fused._fused_plan
+    assert plan.metric == metric and not plan.dense
+    assert scored == ([4 * 3] if metric == "euclidean" else [])
+    _refuse_mask_product(plan)
+    with pytest.raises(AssertionError, match="valid-mask product"):
+        fused.run_batch(queries)
 
 
 def test_pair_scores_match_compute_scores(rng):
@@ -195,10 +283,11 @@ def _magnitude(rng) -> float:
     return 10.0 ** rng.uniform(*band)
 
 
-def _stress(metric, seed, cases, tech=FEFET_45NM):
+def _stress(metric, seed, cases, tech=FEFET_45NM, dont_care=False):
     """Run ``cases`` near-tie batches on one mutated store; returns the
-    ``(case, difference)`` of every batch the fused plan got wrong, and
-    of every refreshed plan that differs from a fresh trace.
+    ``(case, difference)`` of every batch the fused plan got wrong, of
+    every refreshed plan that differs from a fresh trace, and of every
+    plan whose :attr:`~FusedPlan.dense` flag is wrong.
 
     Each case rewrites every live row as a copy of one of three rows
     (exact duplicates) of small integer levels, which tie distinct rows,
@@ -207,7 +296,9 @@ def _stress(metric, seed, cases, tech=FEFET_45NM):
     queries copies of those rows, some moved by an ulp, and fresh rows,
     with k drawn up to the live rows less one.  The smallest magnitudes
     leave squares of a few subnormal quanta, where only the bound's
-    absolute term covers the rounding.
+    absolute term covers the rounding.  With ``dont_care``, the row
+    inserted in every case holds one don't-care cell, so the bound is
+    taken over the valid-mask product instead of the row sum.
     """
     rng = np.random.default_rng(seed)
     stored = np.zeros((ROWS, FEATURES), dtype=np.float32)
@@ -225,6 +316,8 @@ def _stress(metric, seed, cases, tech=FEFET_45NM):
         rows = uniques[rng.integers(0, 3, ROWS)]
         moved = rng.random(rows.shape) < 0.05
         rows[moved] = np.nextafter(rows[moved], np.inf)
+        if dont_care:
+            rows[0, rng.integers(FEATURES)] = DONT_CARE
         live = fused.row_ids()
         gone = int(rng.choice(live))
         for session in (fused, oracle):
@@ -249,6 +342,8 @@ def _stress(metric, seed, cases, tech=FEFET_45NM):
             build_fused_plan(fused)
         ):
             wrong.append((case, "plan"))
+        if fused._fused_plan.dense is dont_care:
+            wrong.append((case, "dense"))
     return wrong
 
 
@@ -270,3 +365,12 @@ def test_near_tie_stress_with_wta_window(scored, metric):
     tech = replace(FEFET_45NM, wta_window=2)
     assert _stress(metric, 950, 25, tech=tech) == []
     assert "full" not in scored
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in cast")
+@pytest.mark.parametrize("seed", range(2))
+def test_near_tie_stress_with_dont_cares(scored, seed):
+    """The Euclidean stress with a live don't-care row in every case:
+    the bound over ``q²·VT`` rather than the dense row sum."""
+    assert _stress("euclidean", 970 + seed, 50, dont_care=True) == []
+    assert len(scored) == 50 and "full" not in scored

@@ -39,6 +39,7 @@ from repro.runtime.cluster import Cluster
 from repro.runtime.fused import build_fused_plan
 from repro.runtime.session import QuerySession
 from repro.runtime.sharding import ShardedSession, build_shard_set
+from repro.simulator.cells import DONT_CARE
 from repro.simulator.machine import CamMachine
 
 FEATURES = 8
@@ -474,17 +475,19 @@ def test_mutate_during_serve(seed):
 def _assert_same_plan(got, want):
     """``got`` (a session's refreshed plan) equals ``want`` (a fresh
     trace of the same session) byte for byte: stores, the exact gate's
-    key, the BLAS operands (tombstoned columns included), charge lists
-    (the same subarray objects), ``n_alive``, ``host_energy`` and the
-    live-slot set.  A store that cannot fuse is ``False`` on the
-    session, ``None`` fresh."""
+    key, the BLAS operands (tombstoned columns included), the per-slot
+    density flags and ``dense``, charge lists (the same subarray
+    objects), ``n_alive``, ``host_energy`` and the live-slot set.  A
+    store that cannot fuse is ``False`` on the session, ``None``
+    fresh."""
     if not want:
         assert got is False
         return
     for name in ("stacked", "capacity", "features", "n_alive",
                  "host_energy", "search_charges", "read_charges",
-                 "merge_charges"):
+                 "merge_charges", "dense"):
         assert getattr(got, name) == getattr(want, name), name
+    assert got._full.tobytes() == want._full.tobytes()
     assert (got.live is None) == (want.live is None)
     if want.live is not None:
         np.testing.assert_array_equal(got.live, want.live)
@@ -679,6 +682,48 @@ def _refresh_pair(kind, stored, k):
         _compile(stored, k, spec, fused=fused, **options).session()
         for fused in (True, False)
     )
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_dense_flag_follows_a_dont_care_row(euclidean_kernel, exact):
+    """A dense Euclidean store (analog, or integer codes that pass the
+    exact gate): updating a live row to hold one don't-care cell clears
+    the plan's ``dense`` flag, and deleting that row sets it again.
+    Every batch serves bitwise like the unfused walk, and every
+    refreshed plan equals a fresh trace."""
+    rng = np.random.default_rng(4_100 + exact)
+
+    def draw(n):
+        rows = _rows(rng, n)
+        return np.rint(4 * rows) if exact else rows
+
+    stored = draw(10)
+    fused, oracle = (
+        C4CAMCompiler(_spec()).compile(
+            euclidean_kernel(stored, k=3), [placeholder((1, FEATURES))],
+            fused=flag,
+        ).session()
+        for flag in (True, False)
+    )
+
+    def serve(dense):
+        queries = draw(BATCH)
+        _assert_bitwise(_serve(fused, queries), _serve(oracle, queries))
+        plan = fused._fused_plan
+        assert plan.dense is dense
+        assert (plan.exact is not None) is exact
+        _assert_same_plan(plan, build_fused_plan(fused))
+
+    serve(True)
+    gid = fused.row_ids()[4]
+    row = stored[4].copy()
+    row[2] = DONT_CARE
+    for session in (fused, oracle):
+        session.update(gid, row)
+    serve(False)
+    for session in (fused, oracle):
+        session.delete([gid])
+    serve(True)
 
 
 @pytest.mark.parametrize("kind", ["bipolar", "analog", "replicated",

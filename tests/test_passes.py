@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import repro.frontend.torch_api as torch
+from repro.arch import paper_spec
+from repro.compiler import C4CAMCompiler
 from repro.dialects import arith as arith_d
 from repro.dialects import cim as cim_d
 from repro.dialects import func as func_d
@@ -165,3 +167,23 @@ class TestDeadOpElimination:
         m = fused(dot_kernel(stored), [placeholder((2, 16))],
                   spec="torch-to-cim,cim-fuse-ops,cim-similarity-match")
         assert execute_bodies(m) == [["cim.similarity", "cim.yield"]]
+
+    def test_sweeps_unused_torch_ops(self):
+        """A traced op whose result nothing uses becomes no block of its
+        own: one ``cim.execute`` is left, and the compiled kernel still
+        answers as the torch-level reference."""
+
+        def forward(x):
+            _unused = x.transpose(-2, -1)
+            return x.transpose(-2, -1).transpose(-2, -1)
+
+        example = [placeholder((3, 5))]
+        m = fused(forward, example,
+                  spec="torch-to-cim,cim-fuse-ops,cim-similarity-match")
+        assert count(m, name="cim.execute") == 1
+        compiler = C4CAMCompiler(paper_spec())
+        x = np.arange(15, dtype=np.float32).reshape(3, 5)
+        got = compiler.compile(forward, example)(x)
+        want = compiler.reference(forward, example)(x)
+        for g, w in zip(got, want, strict=True):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
